@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <ostream>
 #include <string>
 
@@ -85,22 +84,26 @@ unsigned long long campaign_seed() {
 const char* engine_name(EngineKind e) {
   switch (e) {
     case EngineKind::Brute: return "brute";
-    case EngineKind::Event: return "event";
     case EngineKind::Batch: return "batch";
   }
-  return "?";
+  // Stores written by the retired event-driven engine still carry its value.
+  return static_cast<int>(e) == 1 ? "event" : "?";
+}
+
+EngineKind parse_engine_env(const char* value) {
+  if (!value || !*value) return EngineKind::Batch;
+  const std::string v(value);
+  if (v == "brute") return EngineKind::Brute;
+  if (v == "batch") return EngineKind::Batch;
+  std::fprintf(stderr,
+               "[gpf] ignoring GPF_ENGINE=\"%s\": expected brute|batch; "
+               "using batch\n",
+               value);
+  return EngineKind::Batch;
 }
 
 EngineKind campaign_engine() {
-  static const EngineKind engine = [] {
-    const char* s = std::getenv("GPF_ENGINE");
-    if (!s) return EngineKind::Batch;
-    const std::string v(s);
-    if (v == "brute") return EngineKind::Brute;
-    if (v == "event") return EngineKind::Event;
-    if (v == "batch") return EngineKind::Batch;
-    return EngineKind::Batch;
-  }();
+  static const EngineKind engine = parse_engine_env(std::getenv("GPF_ENGINE"));
   return engine;
 }
 
@@ -133,70 +136,6 @@ bool cone_enabled() {
 
 void set_collapse_override(int v) { g_collapse_override = v < 0 ? -1 : (v ? 1 : 0); }
 void set_cone_override(int v) { g_cone_override = v < 0 ? -1 : (v ? 1 : 0); }
-
-namespace {
-std::atomic<int> g_fuse_override{-1};
-std::atomic<int> g_jit_override{-1};  // -1 defer, else JitMode value
-std::mutex g_jit_cache_dir_mu;
-std::string g_jit_cache_dir_override;  // guarded by g_jit_cache_dir_mu
-}  // namespace
-
-bool fuse_enabled() {
-  const int o = g_fuse_override.load();
-  if (o >= 0) return o != 0;
-  static const bool on = env_flag("GPF_FUSE", true);
-  return on;
-}
-
-void set_fuse_override(int v) { g_fuse_override = v < 0 ? -1 : (v ? 1 : 0); }
-
-const char* jit_mode_name(JitMode m) {
-  switch (m) {
-    case JitMode::Off: return "off";
-    case JitMode::On: return "on";
-    case JitMode::Auto: return "auto";
-  }
-  return "?";
-}
-
-JitMode jit_mode() {
-  const int o = g_jit_override.load();
-  if (o >= 0) return static_cast<JitMode>(o);
-  static const JitMode mode = [] {
-    const char* s = std::getenv("GPF_JIT");
-    if (!s || !*s) return JitMode::Auto;
-    const std::string v(s);
-    if (v == "off" || v == "0" || v == "false" || v == "no") return JitMode::Off;
-    if (v == "on" || v == "1" || v == "true" || v == "yes") return JitMode::On;
-    if (v == "auto") return JitMode::Auto;
-    std::fprintf(stderr,
-                 "[gpf] ignoring GPF_JIT=\"%s\": expected on|off|auto; "
-                 "using auto\n",
-                 s);
-    return JitMode::Auto;
-  }();
-  return mode;
-}
-
-void set_jit_override(int v) {
-  g_jit_override = (v < 0 || v > 2) ? -1 : v;
-}
-
-std::string jit_cache_dir() {
-  {
-    std::lock_guard<std::mutex> lk(g_jit_cache_dir_mu);
-    if (!g_jit_cache_dir_override.empty()) return g_jit_cache_dir_override;
-  }
-  const char* s = std::getenv("GPF_JIT_CACHE_DIR");
-  if (s && *s) return std::string(s);
-  const char* tmp = std::getenv("TMPDIR");
-  return std::string(tmp && *tmp ? tmp : "/tmp") + "/gpf-jit";
-}
-
-void set_jit_cache_dir_override(const std::string& dir) {
-  std::lock_guard<std::mutex> lk(g_jit_cache_dir_mu);
-  g_jit_cache_dir_override = dir;
-}
 
 const char* simd_name(SimdKind k) {
   switch (k) {
@@ -374,22 +313,6 @@ void dump_env(std::ostream& os) {
     os << "# GPF_CONE=" << (cone_enabled() ? "1" : "0") << " (override)\n";
   else
     line("GPF_CONE", cone_enabled() ? "1" : "0");
-  if (g_fuse_override.load() >= 0)
-    os << "# GPF_FUSE=" << (fuse_enabled() ? "1" : "0") << " (override)\n";
-  else
-    line("GPF_FUSE", fuse_enabled() ? "1" : "0");
-  if (g_jit_override.load() >= 0)
-    os << "# GPF_JIT=" << jit_mode_name(jit_mode()) << " (override)\n";
-  else
-    line("GPF_JIT", jit_mode_name(jit_mode()));
-  const bool cache_overridden = [] {
-    std::lock_guard<std::mutex> lk(g_jit_cache_dir_mu);
-    return !g_jit_cache_dir_override.empty();
-  }();
-  if (cache_overridden)
-    os << "# GPF_JIT_CACHE_DIR=" << jit_cache_dir() << " (override)\n";
-  else
-    line("GPF_JIT_CACHE_DIR", jit_cache_dir());
   line("GPF_SIMD", simd_name(simd_request()));
   line("GPF_LANES", lanes_request() ? std::to_string(lanes_request())
                                     : "0 (auto: GPF_SIMD/cpuid)");

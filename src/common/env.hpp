@@ -6,12 +6,9 @@
 //
 //   GPF_SCALE             campaign size multiplier (default 1.0)
 //   GPF_SEED              base RNG seed (default 0xC0FFEE)
-//   GPF_ENGINE            gate fault-simulation engine: brute | event | batch
+//   GPF_ENGINE            gate fault-simulation engine: brute | batch (default batch)
 //   GPF_COLLAPSE          structural stuck-at fault collapsing: 1 | 0 (default 1)
 //   GPF_CONE              batch-engine fanout-cone pruning: 1 | 0 (default 1)
-//   GPF_FUSE              gate-program optimizer (fold/fuse/DCE/vreg): 1 | 0 (default 1)
-//   GPF_JIT               native-code gate eval: on | off | auto (default auto)
-//   GPF_JIT_CACHE_DIR     compiled-netlist .so cache (default <tmp>/gpf-jit)
 //   GPF_SIMD              batch-engine SIMD path: native | scalar | avx2 | avx512
 //   GPF_LANES             batch-engine lane width: 64 | 256 | 512 (0 = auto)
 //   GPF_THREADS           campaign thread-pool width (0 = hardware threads)
@@ -61,17 +58,22 @@ std::size_t scaled(std::size_t n, std::size_t min_n = 8);
 /// GPF_SEED environment variable (default 0xC0FFEE).
 unsigned long long campaign_seed();
 
-/// Gate-campaign fault-simulation engine (see gate/replay.hpp for the
-/// trade-offs). Selected per process by GPF_ENGINE.
+/// Gate-campaign fault-simulation engine (see gate/replay.hpp). Selected per
+/// process by GPF_ENGINE. The values are persisted in store headers: 1 was a
+/// retired event-driven engine and stays unassigned.
 enum class EngineKind : std::uint8_t {
-  Brute,  ///< full scalar resimulation of every (fault, cycle)
-  Event,  ///< single-fault difference-cone propagation
-  Batch,  ///< bit-parallel (PPSFP) word simulation, 64-512 lanes (GPF_SIMD)
+  Brute = 0,  ///< scalar resimulation of every (fault, cycle): the reference
+  Batch = 2,  ///< bit-parallel (PPSFP) word simulation, 64-512 lanes (GPF_SIMD)
 };
 const char* engine_name(EngineKind e);
 
-/// GPF_ENGINE environment variable: "brute" | "event" | "batch"
-/// (default batch, the fastest engine; all three classify identically).
+/// Parses a GPF_ENGINE value: "brute" | "batch". Unset or empty means batch
+/// silently; anything else (including the retired "event") warns on stderr
+/// and means batch.
+EngineKind parse_engine_env(const char* value);
+
+/// GPF_ENGINE environment variable through parse_engine_env (default batch,
+/// the fast engine; both engines classify identically).
 EngineKind campaign_engine();
 
 /// GPF_COLLAPSE environment variable: when on (the default), gate campaigns
@@ -90,39 +92,6 @@ bool cone_enabled();
 /// re-execing): -1 = defer to the environment, 0 = off, 1 = on.
 void set_collapse_override(int v);
 void set_cone_override(int v);
-
-/// GPF_FUSE environment variable: when on (the default), the gate engines run
-/// the optimized gate program (constant folding, buf/not-chain and
-/// AND-OR-INVERT superop fusion, dead-gate elimination, virtual-register
-/// allocation — see gate/gateprog.hpp); when off they run the unoptimized 1:1
-/// program. Classifications and exports are identical either way. Same
-/// off-spellings as GPF_COLLAPSE. Override: -1 = defer to environment.
-bool fuse_enabled();
-void set_fuse_override(int v);
-
-/// GPF_JIT environment variable: whether the batch engine compiles the gate
-/// program to native code with the system C++ compiler (see gate/jit.hpp).
-///   off   never JIT; always use the direct-threaded interpreter
-///   on    JIT every netlist (even tiny ones; tests use this)
-///   auto  JIT netlists large enough to amortize the compile (the default);
-///         silently falls back to the interpreter when no compiler exists
-/// Unrecognized values warn on stderr and mean auto.
-enum class JitMode : std::uint8_t { Off, On, Auto };
-const char* jit_mode_name(JitMode m);
-JitMode jit_mode();
-
-/// Override for GPF_JIT: -1 = defer to environment, 0 = off, 1 = on,
-/// 2 = auto. Tests toggle this without re-execing.
-void set_jit_override(int v);
-
-/// GPF_JIT_CACHE_DIR environment variable: directory where JIT-compiled
-/// netlist shared objects are cached across processes, keyed by a
-/// netlist+width+codegen-version hash (default "<system temp>/gpf-jit").
-std::string jit_cache_dir();
-
-/// Override for GPF_JIT_CACHE_DIR (tests point it at a scratch dir without
-/// re-execing). An empty string defers to the environment.
-void set_jit_cache_dir_override(const std::string& dir);
 
 /// Batch-engine SIMD path requested via GPF_SIMD (default native = widest
 /// the CPU supports). The request is resolved against the build's compiled

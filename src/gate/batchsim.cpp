@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/env.hpp"
+#include "gate/jit.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpf::gate {
@@ -34,7 +35,6 @@ std::unique_ptr<BatchSim> make_batch_sim_512(const Netlist& nl);
 namespace {
 
 std::atomic<std::size_t> g_lanes_override{0};
-std::atomic<bool> g_legacy_engine{false};
 
 bool cpu_supports_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -86,14 +86,6 @@ void set_batch_lanes_override(std::size_t lanes) {
                                 std::to_string(lanes) +
                                 " not supported by this build/CPU");
   g_lanes_override.store(lanes, std::memory_order_relaxed);
-}
-
-void set_batch_legacy_engine(bool on) {
-  g_legacy_engine.store(on, std::memory_order_relaxed);
-}
-
-bool batch_legacy_engine() {
-  return g_legacy_engine.load(std::memory_order_relaxed);
 }
 
 std::size_t batch_lane_width() {
@@ -154,5 +146,7 @@ std::unique_ptr<BatchSim> make_batch_sim(const Netlist& nl, std::size_t lanes) {
 std::unique_ptr<BatchSim> make_batch_sim(const Netlist& nl) {
   return make_batch_sim(nl, batch_lane_width());
 }
+
+const char* batch_engine_tag() { return "interp"; }
 
 }  // namespace gpf::gate

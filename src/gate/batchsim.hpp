@@ -48,10 +48,6 @@ class BatchSim {
   virtual std::size_t width() const = 0;
   /// Human-readable SIMD path for logs: "scalar64" | "avx2x256" | "avx512x512".
   virtual const char* path_name() const = 0;
-  /// Resolved execution strategy of this instance: "legacy" (PR 6 per-slot
-  /// interpreter), "full"/"fused" (direct-threaded gate program), with
-  /// "+jit" appended when a native module is loaded for the stream.
-  virtual const char* engine_desc() const = 0;
 
   /// Install up to width() faults (lane k carries faults[k]) and reset state.
   virtual void begin(std::span<const StuckFault> faults) = 0;
@@ -137,13 +133,6 @@ const char* batch_simd_path(std::size_t lanes);
 /// Process-wide width pin for tests/benches (0 = clear, defer to env/CPU
 /// dispatch). Throws std::invalid_argument if the width is unsupported.
 void set_batch_lanes_override(std::size_t lanes);
-
-/// Process-wide pin to the PR 6 per-slot interpreter with per-store force
-/// overlays. Benches and equality tests construct baseline engines through
-/// this to compare the optimized gate program against the legacy inner loop
-/// in the same process. Affects engines constructed AFTER the call.
-void set_batch_legacy_engine(bool on);
-bool batch_legacy_engine();
 
 /// Engine at the dispatched width (also publishes the gate.batch.lanes gauge).
 std::unique_ptr<BatchSim> make_batch_sim(const Netlist& nl);

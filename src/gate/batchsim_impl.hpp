@@ -6,19 +6,13 @@
 // runtime cpuid dispatch in batchsim.cpp, so a pre-AVX2 machine never
 // executes (or even links in statically-chosen copies of) ymm/zmm code.
 //
-// Since PR 9 the engine runs the optimized gate program (gate/gateprog.hpp)
-// in one of three modes:
+// The engine runs the optimized gate program (gate/gateprog.hpp) — the
+// folded/fused/DCE'd/vreg-renamed `fused` stream — on a direct-threaded
+// (computed goto) interpreter, with stuck-at forces applied as sparse fixups
+// between instructions instead of on every store. The scalar Simulator
+// (gate/sim.hpp) is the reference it must match lane for lane.
 //
-//   legacy  the PR 6 inner loop — opcode switch over CompiledNetlist slots
-//           with a per-store force overlay. Kept behind
-//           set_batch_legacy_engine() as the bench/test baseline.
-//   full    GPF_FUSE=0: the 1:1 instruction stream, direct-threaded
-//           (computed goto), stuck-at forces applied as sparse fixups
-//           between instructions instead of per store.
-//   fused   GPF_FUSE=1 (default): the folded/fused/DCE'd/vreg-renamed
-//           stream, optionally JIT-compiled to native code (GPF_JIT).
-//
-// Exactness of the fused mode under arbitrary fault sites, per batch:
+// Exactness under arbitrary fault sites, per batch:
 //   - a forced net the stream writes (own index or vreg slot) gets a fixup
 //     right after the writing instruction — exact because the stream is
 //     levelized (all consumers run later);
@@ -28,12 +22,12 @@
 //     folded op (patch), restoring the original data flow;
 //   - a forced dead net needs nothing: no live net depends on it, so every
 //     classification read (observed buses, DFF state) is untouched — the
-//     same Benign/Latent outcome the unoptimized engine computes.
+//     same Benign/Latent outcome the scalar Simulator computes.
 //   - an observed net the fused stream doesn't keep value-exact pins the
-//     instance to the full stream (only exotic tests observe non-bus nets).
-// JIT full evaluation is used for a batch when its fanout cone would not
-// prune enough to beat native straight-line code; patched batches always
-// interpret.
+//     instance to the 1:1 `full` stream (only exotic tests observe non-bus
+//     nets).
+// Each batch then evaluates either its compacted fanout-cone program or, when
+// the union cone covers most of the netlist, the whole active stream.
 #pragma once
 
 #include <algorithm>
@@ -44,7 +38,6 @@
 #include "gate/batchsim.hpp"
 #include "gate/compiled.hpp"
 #include "gate/gateprog.hpp"
-#include "gate/jit.hpp"
 #include "obs/metrics.hpp"
 
 namespace gpf::gate {
@@ -54,32 +47,23 @@ class BatchFaultSimT final : public BatchSim {
  public:
   using W = LaneWord<N>;
   static constexpr std::size_t kLanes = N;
-  // Below this in-cone fraction the interpreted cone program beats JIT'd
-  // full evaluation; above it, native straight-line code wins.
-  static constexpr double kJitConeThreshold = 0.35;
-  // The interpreter keeps its cone longer than the JIT (its per-op cost is
-  // higher, so skipped ops are worth more), but once the union cone covers
-  // most of the netlist the per-cycle frontier refresh and cone-restricted
-  // bookkeeping cost more than the out-of-cone ops they avoid.
-  static constexpr double kInterpConeThreshold = 0.55;
+  // Once the union cone covers this much of the netlist, the per-cycle
+  // frontier refresh and cone-restricted bookkeeping cost more than the
+  // out-of-cone ops they avoid, so the batch runs the whole stream instead.
+  static constexpr double kMaxConeFraction = 0.55;
 
   explicit BatchFaultSimT(const Netlist& nl)
       : nl_(nl),
         cn_(nl.compiled()),
         gp_(nl.program()),
-        mode_(batch_legacy_engine()   ? Mode::Legacy
-              : gpf::fuse_enabled()   ? Mode::Fused
-                                      : Mode::Full),
-        base_(mode_ == Mode::Fused ? &gp_.fused : &gp_.full),
         num_nets_(nl.num_nets()),
-        val_(mode_ == Mode::Legacy ? num_nets_ : gp_.storage_size, W::zero()),
+        val_(gp_.storage_size, W::zero()),
         force0_(num_nets_, W::zero()),
         force1_(num_nets_, W::zero()),
         forced_flag_(num_nets_, 0),
         dff_next_(nl.dffs().size(), W::zero()),
         cone_enabled_(gpf::cone_enabled()) {
     if (!nl.finalized()) throw std::logic_error("netlist not finalized");
-    if (mode_ != Mode::Legacy) jit_ = jit_module(gp_, *base_, N);
     // Latch-order partition: only a DFF whose out net feeds another DFF's
     // D/EN pin needs the two-phase (compute-all-then-store) latch; the rest
     // can compute and store in one pass, saving a word load+store per DFF
@@ -95,12 +79,7 @@ class BatchFaultSimT final : public BatchSim {
           is_pin[static_cast<std::size_t>(cn_.dff_en[i])] = 1;
       }
       for (std::size_t i = 0; i < cn_.dff_out.size(); ++i) {
-        // The legacy engine is the frozen PR 6 baseline: keep its latch
-        // two-phase for every DFF so bench comparisons measure the real
-        // historical engine.
-        dff_deferred_flag_[i] =
-            mode_ == Mode::Legacy ||
-            is_pin[static_cast<std::size_t>(cn_.dff_out[i])];
+        dff_deferred_flag_[i] = is_pin[static_cast<std::size_t>(cn_.dff_out[i])];
         (dff_deferred_flag_[i] ? dff_deferred_ : dff_direct_)
             .push_back(static_cast<std::uint32_t>(i));
       }
@@ -109,14 +88,6 @@ class BatchFaultSimT final : public BatchSim {
 
   std::size_t width() const override { return kLanes; }
   const char* path_name() const override { return batch_simd_path(kLanes); }
-  const char* engine_desc() const override {
-    switch (mode_) {
-      case Mode::Legacy: return "legacy";
-      case Mode::Full: return jit_ ? "full+jit" : "full";
-      case Mode::Fused: return jit_ ? "fused+jit" : "fused";
-    }
-    return "?";
-  }
 
   void begin(std::span<const StuckFault> faults) override {
     if (faults.size() > kLanes)
@@ -129,10 +100,9 @@ class BatchFaultSimT final : public BatchSim {
     // Plan reuse: the campaign driver replays the same fault batch against
     // every trace through one engine. The per-batch plan — fixups, patched
     // stream, cone program — depends only on the fault set, so an unchanged
-    // set keeps it (the legacy engine predates the plan and stays as-is).
+    // set keeps it.
     const bool same_faults =
-        mode_ != Mode::Legacy && plan_ready_ &&
-        faults.size() == prev_faults_.size() &&
+        plan_ready_ && faults.size() == prev_faults_.size() &&
         std::equal(faults.begin(), faults.end(), prev_faults_.begin(),
                    [](const StuckFault& x, const StuckFault& y) {
                      return x.net == y.net && x.stuck_high == y.stuck_high;
@@ -170,13 +140,11 @@ class BatchFaultSimT final : public BatchSim {
           kind == GateKind::Const1 || kind == GateKind::Dff)
         source_sites_.push_back(f.net);
     }
-    if (mode_ != Mode::Legacy && !same_faults) {
+    if (!same_faults) {
       plan_batch();
       plan_ready_ = true;
     }
-    static obs::Counter& jit_batches = obs::counter("gate.jit.batches");
     static obs::Counter& patch_batches = obs::counter("gate.patched_batches");
-    if (use_jit_) jit_batches.add(1);
     if (patched_) patch_batches.add(1);
   }
 
@@ -193,7 +161,7 @@ class BatchFaultSimT final : public BatchSim {
       if (!gp_.value_exact(n)) observed_exact_ = false;
   }
   bool cone_active() const override {
-    return cone_enabled_ && lane_mask_.any() && !use_jit_ && !skip_cone_;
+    return cone_enabled_ && lane_mask_.any() && !skip_cone_;
   }
 
   void load_broadcast(const std::vector<std::uint8_t>& vals) override {
@@ -211,19 +179,8 @@ class BatchFaultSimT final : public BatchSim {
     for (const auto& [n, v] : nl_.constants())
       val_[static_cast<std::size_t>(n)] = W::broadcast(v);
     apply_source_overlays();
-    switch (mode_) {
-      case Mode::Legacy:
-        eval_slots(AllSlots{});
-        return;
-      default:
-        if (use_jit_) {
-          jit_eval();
-        } else {
-          run_code(active_code_.data(), active_code_.size(),
-                   std::span<const Fixup>(fixups_), nullptr);
-        }
-        return;
-    }
+    run_code(active_code_.data(), active_code_.size(),
+             std::span<const Fixup>(fixups_), nullptr);
   }
 
   /// Refresh the out-of-cone values the cone code reads. Frontier nets are
@@ -244,13 +201,6 @@ class BatchFaultSimT final : public BatchSim {
     // inputs. A caller that sticks to plain eval() keeps full latching even
     // though the cone sets exist for the diff/retire read restrictions.
     cone_eval_live_ = true;
-    if (mode_ == Mode::Legacy) {
-      ensure_cone_legacy();
-      refresh_frontier(golden);
-      apply_source_overlays();
-      for (const std::uint32_t s : cone_slots_) eval_slot(s);
-      return;
-    }
     ensure_cone_program();
     refresh_frontier(golden);
     apply_source_overlays();
@@ -320,7 +270,7 @@ class BatchFaultSimT final : public BatchSim {
   LaneMask diff_observed(const std::vector<std::uint8_t>& golden) const override {
     // Divergence is confined to the fan-out cone no matter how values are
     // computed (forces only exist at in-cone sites), so the read restriction
-    // applies whenever the sets exist — even under full-stream JIT eval.
+    // applies whenever the sets exist — even when the plan skipped the cone.
     return diff_lanes(cone_built_ ? std::span<const Net>(observed_cone_)
                                   : std::span<const Net>(observed_),
                       golden);
@@ -366,12 +316,8 @@ class BatchFaultSimT final : public BatchSim {
   }
 
   std::size_t cone_gate_count() override {
-    if (!cone_enabled_ || !lane_mask_.any() || use_jit_ || skip_cone_)
+    if (!cone_enabled_ || !lane_mask_.any() || skip_cone_)
       return cn_.num_slots();
-    if (mode_ == Mode::Legacy) {
-      ensure_cone_legacy();
-      return cone_slots_.size();
-    }
     ensure_cone_program();
     return cone_covered_;
   }
@@ -379,9 +325,6 @@ class BatchFaultSimT final : public BatchSim {
   std::size_t total_gate_count() const override { return cn_.num_slots(); }
 
  private:
-  enum class Mode : std::uint8_t { Legacy, Full, Fused };
-  struct AllSlots {};  ///< tag: iterate every compiled slot in program order
-
   /// A pending stuck-at overlay: applied to storage index `storage` right
   /// after instruction `pos` of the active code, using net `net`'s force
   /// masks. Forces stay indexed by NET (not storage) so a reused vreg slot
@@ -425,30 +368,27 @@ class BatchFaultSimT final : public BatchSim {
     }
   }
 
-  // ---- per-batch execution plan (full/fused modes) -----------------------
+  // ---- per-batch execution plan ------------------------------------------
 
   void plan_batch() {
-    use_jit_ = false;
     patched_ = false;
-    const Stream* S = base_;
-    if (mode_ == Mode::Fused) {
-      if (!observed_exact_) {
-        S = &gp_.full;  // exotic observed set: run the exact 1:1 stream
-      } else {
-        patch_ops_.clear();
-        bool fold_patch = false;
-        for (const Net n : forced_nets_) {
-          const std::uint8_t fl = gp_.net_flags[static_cast<std::size_t>(n)];
-          if (fl & kNetFoldedUse) fold_patch = true;
-          if (fl & kNetInterior)
-            patch_ops_.push_back(gp_.head_of[static_cast<std::size_t>(n)]);
-        }
-        if (fold_patch)
-          for (std::size_t i = 0; i < gp_.fused.meta.size(); ++i)
-            if (gp_.fused.meta[i].folded)
-              patch_ops_.push_back(static_cast<std::uint32_t>(i));
-        if (!patch_ops_.empty()) build_patch();
+    const Stream* S = &gp_.fused;
+    if (!observed_exact_) {
+      S = &gp_.full;  // exotic observed set: run the exact 1:1 stream
+    } else {
+      patch_ops_.clear();
+      bool fold_patch = false;
+      for (const Net n : forced_nets_) {
+        const std::uint8_t fl = gp_.net_flags[static_cast<std::size_t>(n)];
+        if (fl & kNetFoldedUse) fold_patch = true;
+        if (fl & kNetInterior)
+          patch_ops_.push_back(gp_.head_of[static_cast<std::size_t>(n)]);
       }
+      if (fold_patch)
+        for (std::size_t i = 0; i < gp_.fused.meta.size(); ++i)
+          if (gp_.fused.meta[i].folded)
+            patch_ops_.push_back(static_cast<std::uint32_t>(i));
+      if (!patch_ops_.empty()) build_patch();
     }
     active_stream_ = patched_ ? nullptr : S;
     if (!patched_) {
@@ -462,25 +402,13 @@ class BatchFaultSimT final : public BatchSim {
       std::sort(fixups_.begin(), fixups_.end(),
                 [](const Fixup& x, const Fixup& y) { return x.pos < y.pos; });
     }
-    // JIT'd full evaluation versus interpreted cone program: only the
-    // unpatched base stream has compiled code, and it only wins when the
-    // union cone is a large fraction of the netlist.
-    if (jit_ && !patched_ && S == base_) {
-      if (!cone_enabled_ || !lane_mask_.any()) {
-        use_jit_ = true;
-      } else {
-        ensure_cone_program();
-        use_jit_ = static_cast<double>(cone_covered_) >=
-                   kJitConeThreshold * static_cast<double>(cn_.num_slots());
-      }
-    }
-    // Same call for the interpreter at a higher threshold: a cone covering
-    // most of the netlist is pure overhead, so run the plain active stream.
+    // A cone covering most of the netlist is pure overhead, so run the
+    // plain active stream instead.
     skip_cone_ = false;
-    if (!use_jit_ && cone_enabled_ && lane_mask_.any()) {
+    if (cone_enabled_ && lane_mask_.any()) {
       ensure_cone_program();
       skip_cone_ = static_cast<double>(cone_covered_) >=
-                   kInterpConeThreshold * static_cast<double>(cn_.num_slots());
+                   kMaxConeFraction * static_cast<double>(cn_.num_slots());
     }
   }
 
@@ -513,22 +441,6 @@ class BatchFaultSimT final : public BatchSim {
       if (forced_flag_[static_cast<std::size_t>(patch_meta_[i].out_net)])
         fixups_.push_back(Fixup{static_cast<std::uint32_t>(i),
                                 patch_code_[i].out, patch_meta_[i].out_net});
-  }
-
-  void jit_eval() {
-    W* const v = val_.data();
-    std::size_t fi = 0;
-    const std::size_t nfix = fixups_.size();
-    // fixups_ is in stream order, which is level order.
-    for (std::size_t l = 1; l < jit_->levels.size(); ++l) {
-      if (const JitModule::LevelFn fn = jit_->levels[l]) fn(v);
-      while (fi < nfix &&
-             static_cast<std::size_t>(
-                 active_meta_[fixups_[fi].pos].level) == l) {
-        overlay(fixups_[fi].storage, fixups_[fi].net);
-        ++fi;
-      }
-    }
   }
 
   // ---- direct-threaded interpreter ---------------------------------------
@@ -632,43 +544,11 @@ class BatchFaultSimT final : public BatchSim {
 #endif
   }
 
-  // ---- legacy (PR 6) inner loop ------------------------------------------
-
-  /// Word-evaluates one compiled slot and stores through the force overlay.
-  void eval_slot(std::size_t s) {
-    const auto va = [&](Net x) -> const W& {
-      return val_[static_cast<std::size_t>(x)];
-    };
-    W v = W::zero();
-    switch (cn_.kind[s]) {
-      case GateKind::Buf: v = va(cn_.a[s]); break;
-      case GateKind::Not: v = ~va(cn_.a[s]); break;
-      case GateKind::And: v = va(cn_.a[s]) & va(cn_.b[s]); break;
-      case GateKind::Or: v = va(cn_.a[s]) | va(cn_.b[s]); break;
-      case GateKind::Nand: v = ~(va(cn_.a[s]) & va(cn_.b[s])); break;
-      case GateKind::Nor: v = ~(va(cn_.a[s]) | va(cn_.b[s])); break;
-      case GateKind::Xor: v = va(cn_.a[s]) ^ va(cn_.b[s]); break;
-      case GateKind::Xnor: v = ~(va(cn_.a[s]) ^ va(cn_.b[s])); break;
-      case GateKind::Mux: {
-        const W sel = va(cn_.a[s]);
-        v = (sel & va(cn_.c[s])) | (~sel & va(cn_.b[s]));
-        break;
-      }
-      default: return;
-    }
-    const auto i = static_cast<std::size_t>(cn_.out[s]);
-    val_[i] = (v & ~force0_[i]) | force1_[i];
-  }
-
-  void eval_slots(AllSlots) {
-    for (std::size_t s = 0; s < cn_.num_slots(); ++s) eval_slot(s);
-  }
-
   // ---- fanout cone --------------------------------------------------------
 
   /// BFS over the fan-out CSR from the fault sites: fills cone_nets_ (the
   /// worklist doubles as the result), cone_dffs_, the in-cone stamps, and
-  /// splits observed_ into in-cone/frontier. Shared by both cone builders.
+  /// splits observed_ into in-cone/frontier.
   void build_cone_sets() {
     if (cone_stamp_.empty()) {
       cone_stamp_.assign(cn_.num_nets(), 0);
@@ -734,24 +614,6 @@ class BatchFaultSimT final : public BatchSim {
     total_gates.add(cn_.num_slots());
   }
 
-  void ensure_cone_legacy() {
-    if (cone_built_) return;
-    cone_built_ = true;
-    build_cone_sets();
-    cone_slots_.clear();
-    for (const Net n : cone_nets_) {
-      const auto i = static_cast<std::size_t>(n);
-      if (cn_.slot_of[i] != kNoSlot) cone_slots_.push_back(cn_.slot_of[i]);
-    }
-    std::sort(cone_slots_.begin(), cone_slots_.end());  // levelized order
-    for (const std::uint32_t s : cone_slots_) {
-      add_frontier(cn_.a[s]);
-      add_frontier(cn_.b[s]);
-      add_frontier(cn_.c[s]);
-    }
-    finish_cone(cone_slots_.size());
-  }
-
   /// Builds the per-batch cone PROGRAM: the in-cone subsequence of the
   /// active code, with Mat pseudo-ops materializing out-of-cone values that
   /// live in vreg slots (a frontier broadcast cannot reach those), and the
@@ -812,10 +674,7 @@ class BatchFaultSimT final : public BatchSim {
   const Netlist& nl_;
   const CompiledNetlist& cn_;
   const GateProgram& gp_;
-  const Mode mode_;          ///< legacy / full / fused, latched at ctor
-  const Stream* base_;       ///< the mode's default stream
   const std::size_t num_nets_;
-  std::shared_ptr<const JitModule> jit_;  ///< nullptr = interpret
   std::vector<W> val_;       ///< [storage] -> N fault lanes (nets then vregs)
   std::vector<W> force0_;    ///< per-net stuck-at-0 lane masks
   std::vector<W> force1_;    ///< per-net stuck-at-1 lane masks
@@ -826,12 +685,11 @@ class BatchFaultSimT final : public BatchSim {
   std::vector<Net> sites_;        ///< per-lane fault site
   W lane_mask_ = W::zero();
 
-  // Per-batch execution plan (full/fused modes).
+  // Per-batch execution plan.
   std::span<const Instr> active_code_;
   std::span<const OpMeta> active_meta_;
   const Stream* active_stream_ = nullptr;  ///< null when patched
-  std::vector<Fixup> fixups_;  ///< sorted by pos; level order too
-  bool use_jit_ = false;
+  std::vector<Fixup> fixups_;  ///< sorted by pos
   bool skip_cone_ = false;  ///< cone covers too much; run the full stream
   bool patched_ = false;
   bool plan_ready_ = false;  ///< plan below is valid for prev_faults_
@@ -846,14 +704,13 @@ class BatchFaultSimT final : public BatchSim {
   const bool cone_enabled_;  ///< GPF_CONE knob, latched at ctor
   bool cone_built_ = false;  ///< cone sets/program built for current batch
   bool cone_eval_live_ = false;  ///< driver called eval_cone() this batch, so
-                                 ///< clock() may latch in-cone DFFs only; any
-                                 ///< full-stream eval (plain eval(), JIT,
-                                 ///< cone-skip) keeps full latching while the
-                                 ///< sets keep restricting diff/retire reads
+                                 ///< clock() may latch in-cone DFFs only; a
+                                 ///< full-stream eval (plain eval(), cone
+                                 ///< skip) keeps full latching while the sets
+                                 ///< keep restricting diff/retire reads
   std::uint32_t cone_epoch_ = 0;
   std::vector<std::uint32_t> cone_stamp_;      ///< per-net in-cone epoch
   std::vector<std::uint32_t> frontier_stamp_;  ///< per-net frontier epoch
-  std::vector<std::uint32_t> cone_slots_;      ///< legacy: in-cone slots
   std::vector<std::uint32_t> cone_ops_;        ///< in-cone active-code indices
   std::vector<Instr> cone_code_;               ///< in-cone program + Mat ops
   std::vector<Fixup> cone_fixups_;

@@ -18,9 +18,6 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl,
   c.reserve(order.size());
   out.reserve(order.size());
   slot_of.assign(n, kNoSlot);
-  int max_level = 0;
-  for (std::size_t i = 0; i < n; ++i) max_level = std::max(max_level, level[i]);
-  level_offset.assign(static_cast<std::size_t>(max_level) + 2, 0);
   for (std::size_t s = 0; s < order.size(); ++s) {
     const Net g = order[s];
     const Gate& gg = nl.gate(g);
@@ -30,10 +27,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl,
     c.push_back(gg.c);
     out.push_back(g);
     slot_of[static_cast<std::size_t>(g)] = static_cast<std::uint32_t>(s);
-    ++level_offset[static_cast<std::size_t>(level[static_cast<std::size_t>(g)]) + 1];
   }
-  for (std::size_t l = 1; l < level_offset.size(); ++l)
-    level_offset[l] += level_offset[l - 1];
 
   // Sequential elements.
   dff_index.assign(n, -1);

@@ -3,12 +3,11 @@
 // The AoS `std::vector<Gate>` walked through eval_order() costs a dependent
 // load per gate (netlist -> gate -> operand nets). finalize() lowers it once
 // into contiguous kind/a/b/c/out arrays in levelized order so the simulators'
-// hot loops stream sequentially, and precomputes the derived structure every
-// engine was rebuilding for itself:
-//   - per-level slot offsets (levelized scheduling without re-sorting),
-//   - a CSR fan-out adjacency over combinational gates AND DFF pins (the
-//     event engine's difference propagation and the batch engine's
-//     fanout-cone pruning both traverse it),
+// hot loops stream sequentially, and precomputes the derived structure the
+// optimizer, fault collapsing and the batch engine share:
+//   - a per-net levelization depth (the gate program schedules by it),
+//   - a CSR fan-out adjacency over combinational gates AND DFF pins (fault
+//     collapsing and the batch engine's fanout-cone pruning traverse it),
 //   - a topological index per net (fault lists sorted by it keep the union
 //     cone of a 64-fault batch tight).
 #pragma once
@@ -31,9 +30,6 @@ struct CompiledNetlist {
   std::vector<GateKind> kind;
   std::vector<Net> a, b, c;
   std::vector<Net> out;  ///< net driven by slot i
-  /// Slots of level l are [level_offset[l], level_offset[l + 1]);
-  /// level_offset.size() == num_levels() + 1.
-  std::vector<std::uint32_t> level_offset;
 
   // -- sequential elements (index order == Netlist::dffs()) ----------------
   std::vector<Net> dff_out, dff_d, dff_en;  ///< dff_d/dff_en may be kNoNet
@@ -53,7 +49,6 @@ struct CompiledNetlist {
 
   std::size_t num_nets() const { return slot_of.size(); }
   std::size_t num_slots() const { return kind.size(); }
-  std::size_t num_levels() const { return level_offset.size() - 1; }
   std::span<const Net> fanout(Net n) const {
     const auto i = static_cast<std::size_t>(n);
     return {fan_target.data() + fan_offset[i], fan_target.data() + fan_offset[i + 1]};

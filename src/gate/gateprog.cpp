@@ -9,10 +9,6 @@ namespace gpf::gate {
 
 namespace {
 
-// Bump when the Instr encoding or Fuse2 semantics change: it feeds
-// struct_hash, which keys the on-disk JIT cache.
-constexpr std::uint64_t kCodegenVersion = 2;
-
 constexpr std::uint32_t kMaxVRegs = 64;
 
 Op plain_op(GateKind k) {
@@ -35,16 +31,6 @@ struct Folded {
   Op op;
   Net a = kNoNet, b = kNoNet, c = kNoNet;
   bool folded = false;  ///< differs from the 1:1 translation
-};
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
 };
 
 }  // namespace
@@ -530,34 +516,13 @@ GateProgram::GateProgram(const Netlist& nl,
 
   storage_size = num_nets + fused.num_vregs;
 
-  // ---- stats + structure hash ------------------------------------------
+  // ---- stats ------------------------------------------------------------
   static obs::Counter& fused_ctr = obs::counter("gate.fused_gates");
   static obs::Counter& dead_ctr = obs::counter("gate.dead_gates");
   static obs::Counter& vreg_ctr = obs::counter("gate.vreg_nets");
   fused_ctr.add(fused_gates);
   dead_ctr.add(dead_gates);
   vreg_ctr.add(vreg_nets);
-
-  Fnv h;
-  h.add(kCodegenVersion);
-  h.add(num_nets);
-  h.add(num_slots);
-  for (std::size_t s = 0; s < num_slots; ++s) {
-    h.add(static_cast<std::uint64_t>(c.kind[s]));
-    h.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.a[s])));
-    h.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.b[s])));
-    h.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.c[s])));
-    h.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.out[s])));
-  }
-  for (std::size_t i = 0; i < c.dff_out.size(); ++i) {
-    h.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.dff_out[i])));
-    h.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.dff_d[i])));
-    h.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.dff_en[i])));
-  }
-  for (const PortBus& bus : nl.outputs())
-    for (const Net n : bus.nets)
-      h.add(static_cast<std::uint64_t>(static_cast<std::uint32_t>(n)));
-  struct_hash = h.h;
 }
 
 std::uint8_t GateProgram::eval_scalar(const Instr& in, const std::uint8_t* v) {

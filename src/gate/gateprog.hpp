@@ -6,10 +6,10 @@
 // the inner loops of the simulators, in two variants:
 //
 //   full   one Instr per compiled slot, same order, same semantics — every
-//          net written, no folding. The golden Simulator, the event engine
-//          and the GPF_FUSE=0 batch path run this stream; it is the exact
-//          reference the optimized stream must match on every materialized
-//          net.
+//          net written, no folding. The golden Simulator runs this stream,
+//          the batch engine falls back to it when an observed net is not
+//          value-exact in the fused stream, and it is the exact reference
+//          the optimized stream must match on every materialized net.
 //
 //   fused  the optimizer pipeline's output:
 //            1. constant folding — operands driven by Const0/Const1 nets (and
@@ -133,7 +133,7 @@ struct OpMeta {
   std::uint32_t cover_begin = 0;       ///< range into Stream::cover: the
   std::uint32_t cover_count = 0;       ///<   compiled slots this op replaces
   bool folded = false;  ///< emitted form dropped a constant-valued operand
-  std::int32_t level = 0;  ///< levelization depth of out_net (JIT grouping)
+  std::int32_t level = 0;  ///< levelization depth of out_net (scheduling)
 };
 
 /// An executable instruction stream plus the net -> storage maps the engine
@@ -179,9 +179,6 @@ struct GateProgram {
   std::size_t folded_ops = 0;   ///< ops strength-reduced by constant folding
   std::size_t vreg_nets = 0;    ///< nets renamed into virtual registers
 
-  /// FNV-1a over the compiled structure + codegen version; the JIT cache key.
-  std::uint64_t struct_hash = 0;
-
   /// The fused stream computes this net's value somewhere (its own index or
   /// a vreg slot) — a force overlay can be fixed up after the writing op.
   bool materialized(Net n) const {
@@ -196,9 +193,9 @@ struct GateProgram {
             (kNetInterior | kNetDead | kNetVreg)) == 0;
   }
 
-  /// Scalar (uint8) evaluation of one instruction; the golden Simulator and
-  /// the event engine route their per-gate evaluation through this so all
-  /// engines execute the same program.
+  /// Scalar (uint8) evaluation of one instruction; the golden Simulator
+  /// routes its per-gate evaluation through this so the scalar reference and
+  /// the batch engine execute the same program.
   static std::uint8_t eval_scalar(const Instr& in, const std::uint8_t* v);
 };
 

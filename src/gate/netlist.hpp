@@ -93,9 +93,9 @@ class Netlist {
   const CompiledNetlist& compiled() const;
 
   /// Optimized executable gate program (gate/gateprog.hpp) lowered from the
-  /// compiled form by finalize(): the folded 1:1 `full` stream every engine
-  /// shares, plus the fused/DCE'd/register-allocated `fused` stream the batch
-  /// engine and JIT run.
+  /// compiled form by finalize(): the 1:1 `full` stream the scalar Simulator
+  /// runs, plus the fused/DCE'd/register-allocated `fused` stream the batch
+  /// engine runs.
   const GateProgram& program() const;
 
   /// Total combinational + sequential cell count (excludes Input/Const).

@@ -40,9 +40,9 @@ void Simulator::eval() {
   for (const auto& [n, v] : nl_.constants()) val_[static_cast<std::size_t>(n)] = v;
   apply_fault_at_sources();
 
-  // Run the shared gate program's full (1:1) stream: every engine executes
-  // the same lowered instructions, so scalar, event and batch results agree
-  // by construction.
+  // Run the shared gate program's full (1:1) stream: the unoptimized
+  // reference the batch engine's fused stream must match on every
+  // observable net.
   const Stream& st = nl_.program().full;
   for (std::size_t s = 0; s < st.code.size(); ++s) {
     const Instr& in = st.code[s];

@@ -198,7 +198,7 @@ void GateUnitRunner::run_collapsed(std::span<const std::uint64_t> ids,
     gate::FaultCharacterization fc;
     fc.fault = jobs[i].rep;
     for (std::size_t ti = 0; ti < traces_.size(); ++ti)
-      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc, engine_);
+      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc);
     expand(jobs[i], fc);
   };
   if (pool)
@@ -250,7 +250,7 @@ void GateUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
     gate::FaultCharacterization fc;
     fc.fault = faults_.at(ids[i]);
     for (std::size_t ti = 0; ti < traces_.size(); ++ti)
-      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc, engine_);
+      replayer_.run_fault(fc.fault, traces_[ti], goldens_[ti], fc);
     emit(ids[i], fc);
     retired.add(1);
   };

@@ -49,7 +49,6 @@ MergeStats merge_store_files(const std::vector<std::string>& paths,
 
   MergeStats st;
   const LoadedStore merged = merge_stores(inputs, &st);
-  create_parent_dirs(out_path);
   ResultLog out(out_path, merged.meta);
   if (!out.recovered().empty())
     throw std::runtime_error("merge: output store " + out_path +

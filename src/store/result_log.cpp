@@ -199,6 +199,7 @@ void ResultLog::create_new(const CampaignMeta& meta) {
   if (meta.app.size() > 19)
     throw std::runtime_error("store: app name too long (max 19 chars): " + meta.app);
   meta_ = meta;
+  create_parent_dirs(path_);
   f_ = std::fopen(path_.c_str(), "wb");
   if (!f_)
     throw std::runtime_error("store: cannot create " + path_ + ": " +

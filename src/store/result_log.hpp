@@ -62,10 +62,11 @@ struct Record {
 /// campaign-facing locking and dedup on top.
 class ResultLog {
  public:
-  /// Opens `path`, creating it with `meta` when absent. When the file
-  /// exists, its header must match `meta` exactly (a mismatched resume is an
-  /// error, not silent corruption); valid records are loaded and a torn tail
-  /// (truncated or CRC-failing bytes) is truncated off before appending.
+  /// Opens `path`, creating it (and any missing parent directories) with
+  /// `meta` when absent. When the file exists, its header must match `meta`
+  /// exactly (a mismatched resume is an error, not silent corruption); valid
+  /// records are loaded and a torn tail (truncated or CRC-failing bytes) is
+  /// truncated off before appending.
   ResultLog(const std::string& path, const CampaignMeta& meta);
 
   /// Opens an existing store read-only-ish (meta comes from the file).
@@ -135,9 +136,10 @@ ScannedTail scan_records(const std::string& path, std::size_t from_offset);
 CampaignMeta read_store_meta(const std::string& path);
 
 /// Creates the missing parent directories of `path` (no-op when they already
-/// exist). Output-producing commands (merge, export, compact) call this so
-/// writing into a fresh directory works instead of failing with a bare errno
-/// string. Throws a descriptive error when creation fails.
+/// exist). Every file writer calls this — a new store log, a warehouse
+/// segment, an export — so writing into a fresh directory works instead of
+/// failing with a bare errno string. Throws a descriptive error when
+/// creation fails.
 void create_parent_dirs(const std::string& path);
 
 /// Loads a whole store into memory (for merge / export / status).

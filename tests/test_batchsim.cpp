@@ -1,5 +1,5 @@
-// The bit-parallel (PPSFP) engine must be observationally equivalent to both
-// scalar engines at every compiled SIMD width: lane-for-lane identical
+// The bit-parallel (PPSFP) engine must be observationally equivalent to the
+// brute-force scalar engine at every compiled SIMD width: lane-for-lane identical
 // FaultCharacterization (class, activation, hang, per-model error counts)
 // for every fault on every unit over real profiled traces, including a
 // ragged final batch (< lane-width faults) and both stuck-at polarities.
@@ -7,14 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "common/rng.hpp"
 #include "gate/batchsim.hpp"
-#include "gate/jit.hpp"
 #include "gate/profiler.hpp"
 #include "gate/replay.hpp"
 #include "workloads/workload.hpp"
@@ -69,7 +67,7 @@ class BatchSimEquivalence : public ::testing::TestWithParam<UnitKind> {};
 // Full-campaign equivalence over two real profiled traces at every supported
 // lane width. 150 sampled faults force a ragged final batch at all widths
 // (150 % 64 = 22; a 256/512-lane run gets one partially filled batch).
-TEST_P(BatchSimEquivalence, CampaignMatchesScalarEnginesAtEveryWidth) {
+TEST_P(BatchSimEquivalence, CampaignMatchesBruteAtEveryWidth) {
   const std::vector<UnitTraces> traces = {trace_of("p_tiled_mxm"),
                                           trace_of("p_sort")};
   constexpr std::size_t kFaults = 150;
@@ -79,10 +77,7 @@ TEST_P(BatchSimEquivalence, CampaignMatchesScalarEnginesAtEveryWidth) {
 
   const auto brute = run_unit_campaign(GetParam(), traces, kFaults, 42, nullptr,
                                        EngineKind::Brute);
-  const auto event = run_unit_campaign(GetParam(), traces, kFaults, 42, nullptr,
-                                       EngineKind::Event);
   ASSERT_EQ(brute.faults.size(), kFaults);
-  ASSERT_EQ(event.faults.size(), kFaults);
 
   for (const std::size_t width : supported_widths()) {
     set_batch_lanes_override(width);
@@ -102,8 +97,6 @@ TEST_P(BatchSimEquivalence, CampaignMatchesScalarEnginesAtEveryWidth) {
     for (std::size_t i = 0; i < kFaults; ++i) {
       expect_same(brute.faults[i], batch.faults[i],
                   ("brute-vs-batch @ " + label).c_str());
-      expect_same(event.faults[i], batch.faults[i],
-                  ("event-vs-batch @ " + label).c_str());
     }
   }
 }
@@ -139,7 +132,7 @@ TEST_P(BatchSimEquivalence, RaggedBatchMatchesRunFault) {
     for (std::size_t k = 0; k < sample.size(); ++k) {
       FaultCharacterization scalar;
       scalar.fault = sample[k];
-      replayer.run_fault(sample[k], t, golden, scalar, EngineKind::Brute);
+      replayer.run_fault(sample[k], t, golden, scalar);
       expect_same(scalar, batch[k],
                   ("brute-vs-batch(lane) @ width " + std::to_string(width))
                       .c_str());
@@ -160,86 +153,47 @@ struct KnobGuard {
 // (GPF_COLLAPSE, GPF_CONE, engine) combination must produce the identical
 // characterization for every fault as the knobs-off brute-force reference.
 // The batch engine runs at the dispatched width here; the width matrix above
-// covers per-width equivalence.
+// covers per-width equivalence. Two trace sets: a two-app pair, and a
+// shorter single-app run whose smaller golden windows move the cone and
+// patch plans of the same fault sample.
 TEST_P(BatchSimEquivalence, KnobMatrixClassifiesIdentically) {
-  const std::vector<UnitTraces> traces = {trace_of("p_tiled_mxm", 300),
-                                          trace_of("p_sort", 300)};
+  const std::vector<std::vector<UnitTraces>> trace_sets = {
+      {trace_of("p_tiled_mxm", 300), trace_of("p_sort", 300)},
+      {trace_of("p_tiled_mxm", 250)}};
   constexpr std::size_t kFaults = 130;
   static_assert(kFaults % 64 != 0 && kFaults < 256,
                 "sample must exercise a ragged final batch at every width");
   KnobGuard guard;
 
-  set_collapse_override(0);
-  set_cone_override(0);
-  const auto reference = run_unit_campaign(GetParam(), traces, kFaults, 42,
-                                           nullptr, EngineKind::Brute);
-  ASSERT_EQ(reference.faults.size(), kFaults);
+  for (std::size_t set = 0; set < trace_sets.size(); ++set) {
+    const std::vector<UnitTraces>& traces = trace_sets[set];
+    set_collapse_override(0);
+    set_cone_override(0);
+    const auto reference = run_unit_campaign(GetParam(), traces, kFaults, 42,
+                                             nullptr, EngineKind::Brute);
+    ASSERT_EQ(reference.faults.size(), kFaults);
 
-  for (const int collapse : {0, 1}) {
-    for (const int cone : {0, 1}) {
-      for (const EngineKind e :
-           {EngineKind::Brute, EngineKind::Event, EngineKind::Batch}) {
-        if (collapse == 0 && cone == 0 && e == EngineKind::Brute)
-          continue;  // the reference itself
-        set_collapse_override(collapse);
-        set_cone_override(cone);
-        const auto res =
-            run_unit_campaign(GetParam(), traces, kFaults, 42, nullptr, e);
-        const std::string label = std::string("collapse=") +
-                                  std::to_string(collapse) +
-                                  " cone=" + std::to_string(cone) +
-                                  " engine=" + engine_name(e) + " vs reference";
-        ASSERT_EQ(res.faults.size(), reference.faults.size()) << label;
-        for (std::size_t i = 0; i < kFaults; ++i)
-          expect_same(reference.faults[i], res.faults[i], label.c_str());
+    for (const int collapse : {0, 1}) {
+      for (const int cone : {0, 1}) {
+        for (const EngineKind e : {EngineKind::Brute, EngineKind::Batch}) {
+          if (collapse == 0 && cone == 0 && e == EngineKind::Brute)
+            continue;  // the reference itself
+          set_collapse_override(collapse);
+          set_cone_override(cone);
+          const auto res =
+              run_unit_campaign(GetParam(), traces, kFaults, 42, nullptr, e);
+          const std::string label =
+              "traces=" + std::to_string(set) +
+              " collapse=" + std::to_string(collapse) +
+              " cone=" + std::to_string(cone) + " engine=" + engine_name(e) +
+              " vs reference";
+          ASSERT_EQ(res.faults.size(), reference.faults.size()) << label;
+          for (std::size_t i = 0; i < kFaults; ++i)
+            expect_same(reference.faults[i], res.faults[i], label.c_str());
+        }
       }
     }
   }
-}
-
-// The gate-program engines are pure optimizations too: the legacy slot
-// interpreter, the optimized streams with fusion on/off, and the JIT'd
-// native code must all characterize every fault identically. JIT rows are
-// skipped (not failed) when the container has no C++ compiler.
-TEST_P(BatchSimEquivalence, EngineKnobMatrixClassifiesIdentically) {
-  const std::vector<UnitTraces> traces = {trace_of("p_tiled_mxm", 250)};
-  constexpr std::size_t kFaults = 130;
-  KnobGuard guard;
-  struct EngineGuard {
-    ~EngineGuard() {
-      set_batch_legacy_engine(false);
-      set_fuse_override(-1);
-      set_jit_override(-1);
-      set_jit_cache_dir_override("");
-      jit_reset_for_tests();
-    }
-  } engine_guard;
-  const std::string jit_dir = ::testing::TempDir() + "gpf-jit-knobmatrix";
-  set_jit_cache_dir_override(jit_dir);
-
-  set_jit_override(0);
-  set_batch_legacy_engine(true);
-  const auto reference = run_unit_campaign(GetParam(), traces, kFaults, 42,
-                                           nullptr, EngineKind::Batch);
-  ASSERT_EQ(reference.faults.size(), kFaults);
-  set_batch_legacy_engine(false);
-
-  for (const int fuse : {0, 1}) {
-    for (const int jit : {0, 1}) {
-      if (jit == 1 && !jit_compiler_available()) continue;
-      set_fuse_override(fuse);
-      set_jit_override(jit);
-      jit_reset_for_tests();
-      const auto res = run_unit_campaign(GetParam(), traces, kFaults, 42,
-                                         nullptr, EngineKind::Batch);
-      const std::string label = std::string("fuse=") + std::to_string(fuse) +
-                                " jit=" + std::to_string(jit) + " vs legacy";
-      ASSERT_EQ(res.faults.size(), reference.faults.size()) << label;
-      for (std::size_t i = 0; i < kFaults; ++i)
-        expect_same(reference.faults[i], res.faults[i], label.c_str());
-    }
-  }
-  std::filesystem::remove_all(jit_dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Units, BatchSimEquivalence,

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -240,6 +241,30 @@ TEST(Env, FsyncAndMetricsOverrides) {
   EXPECT_TRUE(metrics_enabled());
   set_metrics_override(-1);
   EXPECT_TRUE(metrics_enabled());
+}
+
+TEST(Env, EngineParsesStrictlyAndWarnsOnUnknown) {
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(parse_engine_env(nullptr), EngineKind::Batch);
+  EXPECT_EQ(parse_engine_env(""), EngineKind::Batch);
+  EXPECT_EQ(parse_engine_env("brute"), EngineKind::Brute);
+  EXPECT_EQ(parse_engine_env("batch"), EngineKind::Batch);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  // The retired event engine and typos fall back to batch, loudly.
+  for (const char* bad : {"event", "bruteforce"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(parse_engine_env(bad), EngineKind::Batch);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("GPF_ENGINE"), std::string::npos) << err;
+    EXPECT_NE(err.find(bad), std::string::npos) << err;
+    EXPECT_NE(err.find("brute|batch"), std::string::npos) << err;
+  }
+
+  // Stores written by the retired engine still export its name.
+  EXPECT_STREQ(engine_name(static_cast<EngineKind>(1)), "event");
+  EXPECT_STREQ(engine_name(EngineKind::Brute), "brute");
+  EXPECT_STREQ(engine_name(EngineKind::Batch), "batch");
 }
 
 TEST(Env, ThreadsOverrideTakesPrecedence) {

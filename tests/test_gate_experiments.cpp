@@ -1,7 +1,8 @@
 // Campaign-driver tests for src/report/gate_experiments (previously only
 // exercised via benches): per-unit class counts stable across engines and
 // across a kill/resume cycle through the persistent store, and a 4-shard
-// merged store reproducing the single-store run exactly.
+// merged store reproducing the single-store run exactly. Also the CLI's
+// --engine flag parser shared by gpfctl and gpfd.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,8 +10,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "campaign_flags.hpp"
 #include "gate/batchsim.hpp"
-#include "gate/jit.hpp"
 #include "gate/replay.hpp"
 #include "report/gate_experiments.hpp"
 #include "store/export.hpp"
@@ -53,11 +54,14 @@ class GateExperimentsTest : public ::testing::Test {
             r.count_class(gate::FaultClass::SwError)};
   }
 
-  static std::string export_json(const std::string& store_path) {
+  static std::string export_as(const std::string& store_path,
+                               store::ExportFormat format) {
     std::ostringstream os;
-    store::export_store(store::load_store(store_path), store::ExportFormat::Json,
-                        os);
+    store::export_store(store::load_store(store_path), format, os);
     return os.str();
+  }
+  static std::string export_json(const std::string& store_path) {
+    return export_as(store_path, store::ExportFormat::Json);
   }
 
   static const std::vector<gate::UnitTraces>& traces() { return *traces_; }
@@ -84,12 +88,12 @@ TEST_F(GateExperimentsTest, ProfilingTracesCoverAllWorkloads) {
 TEST_F(GateExperimentsTest, ClassCountsStableAcrossEngines) {
   const auto batch =
       report::run_gate_campaigns(traces(), kFaults, kSeed, EngineKind::Batch);
-  const auto event =
-      report::run_gate_campaigns(traces(), kFaults, kSeed, EngineKind::Event);
-  ASSERT_EQ(batch.units.size(), event.units.size());
+  const auto brute =
+      report::run_gate_campaigns(traces(), kFaults, kSeed, EngineKind::Brute);
+  ASSERT_EQ(batch.units.size(), brute.units.size());
   for (unsigned u = 0; u < 3; ++u) {
     SCOPED_TRACE(gate::unit_name(batch.units[u].unit));
-    EXPECT_EQ(class_counts(batch.units[u]), class_counts(event.units[u]));
+    EXPECT_EQ(class_counts(batch.units[u]), class_counts(brute.units[u]));
   }
   EXPECT_GT(batch.total_dynamic_instructions, 0u);
 }
@@ -267,49 +271,40 @@ TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossLaneWidths) {
   }
 }
 
-// Acceptance: exports are also byte-identical across the gate ENGINE knobs —
-// the legacy slot interpreter, the optimized streams with fusion on or off,
-// and the JIT'd native code all retire exactly the same record for every
-// fault. JIT rows are skipped (not failed) without a system compiler.
-TEST_F(GateExperimentsTest, StoreExportIsByteIdenticalAcrossEngineKnobs) {
+// Acceptance: the batch engine's store retires exactly the records of the
+// brute-force reference. The per-record CSV export is byte-identical; the
+// JSON export differs only in the campaign's engine label.
+TEST_F(GateExperimentsTest, StoreExportMatchesBruteReference) {
   const auto unit = gate::UnitKind::Fetch;
-  const auto meta = report::gate_campaign_meta(unit, kFaults, kMaxIssues, kSeed,
-                                               EngineKind::Batch);
-  struct EngineGuard {
-    ~EngineGuard() {
-      gate::set_batch_legacy_engine(false);
-      set_fuse_override(-1);
-      set_jit_override(-1);
-      set_jit_cache_dir_override("");
-      gate::jit_reset_for_tests();
-    }
-  } guard;
-  set_jit_cache_dir_override(path("jit-cache"));
-
-  set_jit_override(0);
-  gate::set_batch_legacy_engine(true);
-  {
-    store::CampaignCheckpoint ckpt(path("legacy.gpfs"), meta);
+  for (const EngineKind e : {EngineKind::Brute, EngineKind::Batch}) {
+    store::CampaignCheckpoint ckpt(
+        path(std::string(engine_name(e)) + ".gpfs"),
+        report::gate_campaign_meta(unit, kFaults, kMaxIssues, kSeed, e));
     report::run_unit_campaign_store(traces(), ckpt);
   }
-  const std::string base_json = export_json(path("legacy.gpfs"));
-  gate::set_batch_legacy_engine(false);
+  EXPECT_EQ(export_as(path("batch.gpfs"), store::ExportFormat::Csv),
+            export_as(path("brute.gpfs"), store::ExportFormat::Csv));
 
-  for (const int fuse : {0, 1}) {
-    for (const int jit : {0, 1}) {
-      if (jit == 1 && !gate::jit_compiler_available()) continue;
-      SCOPED_TRACE("fuse=" + std::to_string(fuse) +
-                   " jit=" + std::to_string(jit));
-      set_fuse_override(fuse);
-      set_jit_override(jit);
-      gate::jit_reset_for_tests();
-      const std::string p =
-          path("f" + std::to_string(fuse) + "j" + std::to_string(jit) + ".gpfs");
-      store::CampaignCheckpoint ckpt(p, meta);
-      report::run_unit_campaign_store(traces(), ckpt);
-      EXPECT_EQ(export_json(p), base_json);
-    }
+  std::string brute_json = export_json(path("brute.gpfs"));
+  const std::string label = "\"engine\": \"brute\"";
+  const std::size_t at = brute_json.find(label);
+  ASSERT_NE(at, std::string::npos);
+  brute_json.replace(at, label.size(), "\"engine\": \"batch\"");
+  EXPECT_EQ(export_json(path("batch.gpfs")), brute_json);
+}
+
+// Regression: a campaign stored into a directory that does not exist yet
+// creates it and exports the same bytes as a run into an existing one.
+TEST_F(GateExperimentsTest, StoreIntoMissingDirectoryExportsIdentically) {
+  const auto meta = report::gate_campaign_meta(
+      gate::UnitKind::Decoder, kFaults, kMaxIssues, kSeed, EngineKind::Batch);
+  const std::string fresh = path("not/yet/there/gate-decoder.gpfs");
+  ASSERT_FALSE(std::filesystem::exists(path("not")));
+  for (const std::string& p : {path("gate-decoder.gpfs"), fresh}) {
+    store::CampaignCheckpoint ckpt(p, meta);
+    report::run_unit_campaign_store(traces(), ckpt);
   }
+  EXPECT_EQ(export_json(fresh), export_json(path("gate-decoder.gpfs")));
 }
 
 // A store written for one unit refuses to resume a different campaign.
@@ -321,6 +316,23 @@ TEST_F(GateExperimentsTest, StoreMismatchIsRejected) {
                                                 kMaxIssues, kSeed, EngineKind::Batch);
   EXPECT_THROW(store::CampaignCheckpoint(path("d.gpfs"), other),
                std::runtime_error);
+}
+
+// The --engine flag accepts exactly the two engines; the retired event
+// engine is a usage error that names the valid choices.
+TEST(CampaignFlags, ParseEngineAcceptsBruteAndBatchOnly) {
+  EXPECT_EQ(gpfcli::parse_engine("brute"), EngineKind::Brute);
+  EXPECT_EQ(gpfcli::parse_engine("batch"), EngineKind::Batch);
+  for (const char* bad : {"event", "Batch", ""}) {
+    SCOPED_TRACE(bad);
+    try {
+      gpfcli::parse_engine(bad);
+      ADD_FAILURE() << "expected UsageError";
+    } catch (const gpfcli::UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("brute|batch"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -1,26 +1,21 @@
 // The gate-program optimizer (gate/gateprog.hpp) must be a pure strength
 // reduction: every fusion rule rewrites structure without changing any
-// observable value, under any combination of the GPF_FUSE / GPF_JIT knobs,
-// at every lane width, for faults on every net — including sites the fused
-// stream no longer materializes (interior, folded, dead). These tests pin
-// the per-rule rewrites structurally, then drive randomized netlists through
-// the full knob matrix against the legacy (PR 6) engine, and exercise the
-// JIT's disk cache invalidation path.
+// observable value, at every lane width, for faults on every net — including
+// sites the fused stream no longer materializes (interior, folded, dead).
+// These tests pin the per-rule rewrites structurally, then drive randomized
+// netlists through the batch engine at every supported width against the
+// scalar Simulator, one faulted Simulator per lane.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/env.hpp"
 #include "common/rng.hpp"
 #include "gate/batchsim.hpp"
 #include "gate/gateprog.hpp"
-#include "gate/jit.hpp"
 #include "gate/netlist.hpp"
+#include "gate/sim.hpp"
 
 namespace gpf::gate {
 namespace {
@@ -240,7 +235,7 @@ TEST(GateProgOptimizer, StreamsStayLevelizedAndOpcodeGrouped) {
 }
 
 // ---------------------------------------------------------------------------
-// Knob matrix: randomized netlists, every fault site, vs the legacy engine
+// Oracle matrix: randomized netlists, every fault site, vs the Simulator
 // ---------------------------------------------------------------------------
 
 /// Same shape as test_gate.cpp's generator: a levelized gate soup with DFF
@@ -286,17 +281,6 @@ Netlist random_netlist(Rng& rng) {
   return nl;
 }
 
-/// Restores every engine knob this file touches, even on early ASSERT exit.
-struct EngineKnobGuard {
-  ~EngineKnobGuard() {
-    set_batch_legacy_engine(false);
-    set_fuse_override(-1);
-    set_jit_override(-1);
-    set_jit_cache_dir_override("");
-    jit_reset_for_tests();
-  }
-};
-
 std::vector<std::size_t> supported_widths() {
   std::vector<std::size_t> widths;
   for (const std::size_t w :
@@ -305,12 +289,11 @@ std::vector<std::size_t> supported_widths() {
   return widths;
 }
 
-/// Drives `iters` random netlists through (fuse, jit) x widths, faulting
+/// Drives `iters` random netlists through every supported width, faulting
 /// EVERY net in both polarities (chunked into lane batches), and compares
 /// per-lane values on the classification read set (bus nets + DFF outputs)
-/// against the legacy engine lane for lane, cycle for cycle.
-void run_knob_matrix(std::uint64_t seed, int iters, bool with_jit) {
-  EngineKnobGuard guard;
+/// against a scalar Simulator carrying that lane's fault, cycle for cycle.
+void run_oracle_matrix(std::uint64_t seed, int iters) {
   Rng rng(seed);
   for (int iter = 0; iter < iters; ++iter) {
     const Netlist nl = random_netlist(rng);
@@ -332,175 +315,57 @@ void run_knob_matrix(std::uint64_t seed, int iters, bool with_jit) {
       for (std::size_t base = 0; base < all.size(); base += width) {
         const std::size_t count = std::min(width, all.size() - base);
         const std::span<const StuckFault> chunk(all.data() + base, count);
-        // Pre-generate the cycle inputs so every engine sees the same drive.
+        // Pre-generate the cycle inputs so both engines see the same drive.
         std::vector<std::vector<std::uint8_t>> drive(4);
         for (auto& cyc : drive) {
           cyc.resize(inputs.size());
           for (auto& v : cyc) v = static_cast<std::uint8_t>(rng.below(2));
         }
 
-        const auto run = [&](std::unique_ptr<BatchSim> sim) {
-          sim->set_observed(probe);
-          sim->begin(chunk);
-          std::vector<std::uint8_t> out;
-          for (const auto& cyc : drive) {
-            for (std::size_t i = 0; i < inputs.size(); ++i)
-              sim->set_bus(PortBus{"i", {inputs[i]}}, cyc[i]);
-            sim->eval();
-            for (const Net n : probe)
-              for (std::size_t k = 0; k < count; ++k)
-                out.push_back(sim->value(n, static_cast<unsigned>(k)) ? 1 : 0);
-            sim->clock();
-          }
-          return out;
-        };
-
-        set_batch_legacy_engine(true);
-        const std::vector<std::uint8_t> want = run(make_batch_sim(nl, width));
-        set_batch_legacy_engine(false);
-
-        for (const int fuse : {0, 1}) {
-          for (const int jit : with_jit ? std::vector<int>{0, 1}
-                                        : std::vector<int>{0}) {
-            set_fuse_override(fuse);
-            set_jit_override(jit ? 1 : 0);
-            const std::vector<std::uint8_t> got = run(make_batch_sim(nl, width));
-            ASSERT_EQ(want, got)
-                << "iter=" << iter << " width=" << width << " base=" << base
-                << " fuse=" << fuse << " jit=" << jit;
-          }
+        // Reference: one scalar Simulator per lane. Values are recorded
+        // cycle-major, then probe net, then lane.
+        std::vector<Simulator> sims;
+        sims.reserve(count);
+        for (std::size_t k = 0; k < count; ++k) {
+          sims.emplace_back(nl);
+          sims.back().set_fault(chunk[k]);
         }
-        set_fuse_override(-1);
-        set_jit_override(-1);
+        std::vector<std::uint8_t> want;
+        for (const auto& cyc : drive) {
+          for (Simulator& sim : sims) {
+            for (std::size_t i = 0; i < inputs.size(); ++i)
+              sim.set_input(inputs[i], cyc[i] != 0);
+            sim.eval();
+          }
+          for (const Net n : probe)
+            for (const Simulator& sim : sims)
+              want.push_back(sim.value(n) ? 1 : 0);
+          for (Simulator& sim : sims) sim.clock();
+        }
+
+        const std::unique_ptr<BatchSim> batch = make_batch_sim(nl, width);
+        batch->set_observed(probe);
+        batch->begin(chunk);
+        std::vector<std::uint8_t> got;
+        for (const auto& cyc : drive) {
+          for (std::size_t i = 0; i < inputs.size(); ++i)
+            batch->set_bus(PortBus{"i", {inputs[i]}}, cyc[i]);
+          batch->eval();
+          for (const Net n : probe)
+            for (std::size_t k = 0; k < count; ++k)
+              got.push_back(batch->value(n, static_cast<unsigned>(k)) ? 1 : 0);
+          batch->clock();
+        }
+        ASSERT_EQ(want, got)
+            << "iter=" << iter << " width=" << width << " base=" << base;
       }
     }
   }
 }
 
-TEST(GateProgKnobMatrix, RandomNetlistsMatchLegacyAtEveryFuseSetting) {
-  run_knob_matrix(0xF00D, 25, /*with_jit=*/false);
-}
-
-TEST(GateProgKnobMatrix, RandomNetlistsMatchLegacyUnderJit) {
-  if (!jit_compiler_available()) GTEST_SKIP() << "no system C++ compiler";
-  EngineKnobGuard guard;
-  const std::string dir = ::testing::TempDir() + "gpf-jit-matrix";
-  set_jit_cache_dir_override(dir);
-  jit_reset_for_tests();
-  run_knob_matrix(0xBEEF, 3, /*with_jit=*/true);
-  std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// JIT disk cache
-// ---------------------------------------------------------------------------
-
-TEST(GateJitCache, StaleOrCorruptCacheEntryIsRecompiled) {
-  if (!jit_compiler_available()) GTEST_SKIP() << "no system C++ compiler";
-  EngineKnobGuard guard;
-  namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "gpf-jit-stale";
-  fs::remove_all(dir);
-  set_jit_cache_dir_override(dir);
-  set_jit_override(1);  // JIT even a tiny netlist
-  jit_reset_for_tests();
-
-  Rng rng(0xCAFE);
-  const Netlist nl = random_netlist(rng);
-  std::vector<Net> probe;
-  for (const PortBus& b : nl.outputs())
-    probe.insert(probe.end(), b.nets.begin(), b.nets.end());
-  const std::vector<StuckFault> faults{{probe.front(), true},
-                                       {probe.front(), false}};
-
-  const auto drive_once = [&] {
-    auto sim = make_batch_sim(nl, 64);
-    sim->set_observed(probe);
-    sim->begin(faults);
-    sim->eval();
-    std::vector<std::uint8_t> out;
-    for (const Net n : probe)
-      for (unsigned k = 0; k < faults.size(); ++k)
-        out.push_back(sim->value(n, k) ? 1 : 0);
-    return out;
-  };
-
-  const std::vector<std::uint8_t> baseline = drive_once();
-  std::vector<fs::path> so_files;
-  for (const auto& e : fs::directory_iterator(dir))
-    if (e.path().extension() == ".so") so_files.push_back(e.path());
-  ASSERT_EQ(so_files.size(), 1u) << "expected exactly one cached module";
-
-  // Corrupt the cached module; a fresh process (simulated by resetting the
-  // in-memory memo) must detect the bad entry, recompile, and still be exact.
-  // Replace via rename rather than truncating in place: the first module is
-  // still mapped, and shrinking a live-mapped .so is a SIGBUS waiting to
-  // happen — a genuinely stale cache entry is always a fresh inode anyway.
-  {
-    const fs::path bad = so_files[0].string() + ".bad";
-    std::ofstream(bad, std::ios::trunc) << "not an ELF";
-    fs::rename(bad, so_files[0]);
-  }
-  jit_reset_for_tests();
-  EXPECT_EQ(drive_once(), baseline);
-  EXPECT_GT(fs::file_size(so_files[0]), 16u) << "stale entry was not rebuilt";
-
-  // A valid cache entry is reused across "processes" (memo reset again).
-  const auto stamp = fs::last_write_time(so_files[0]);
-  jit_reset_for_tests();
-  EXPECT_EQ(drive_once(), baseline);
-  EXPECT_EQ(stamp, fs::last_write_time(so_files[0]))
-      << "valid entry was recompiled instead of reloaded";
-  fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
-// Knob plumbing
-// ---------------------------------------------------------------------------
-
-TEST(GateProgKnobs, OverridesTakePrecedenceAndReset) {
-  EngineKnobGuard guard;
-  set_fuse_override(0);
-  EXPECT_FALSE(fuse_enabled());
-  set_fuse_override(1);
-  EXPECT_TRUE(fuse_enabled());
-
-  set_jit_override(0);
-  EXPECT_EQ(jit_mode(), JitMode::Off);
-  set_jit_override(1);
-  EXPECT_EQ(jit_mode(), JitMode::On);
-  set_jit_override(2);
-  EXPECT_EQ(jit_mode(), JitMode::Auto);
-  EXPECT_STREQ(jit_mode_name(JitMode::Off), "off");
-  EXPECT_STREQ(jit_mode_name(JitMode::On), "on");
-  EXPECT_STREQ(jit_mode_name(JitMode::Auto), "auto");
-
-  set_jit_cache_dir_override("/nonexistent/scratch");
-  EXPECT_EQ(jit_cache_dir(), "/nonexistent/scratch");
-  set_jit_cache_dir_override("");
-  // GPF_JIT_CACHE_DIR is re-read on every call (it is not latched), so the
-  // environment is testable in-process.
-  ::setenv("GPF_JIT_CACHE_DIR", "/env/dir", 1);
-  EXPECT_EQ(jit_cache_dir(), "/env/dir");
-  ::unsetenv("GPF_JIT_CACHE_DIR");
-  EXPECT_NE(jit_cache_dir().find("gpf-jit"), std::string::npos);
-}
-
-TEST(GateProgKnobs, EngineDescReflectsResolvedConfiguration) {
-  EngineKnobGuard guard;
-  Rng rng(7);
-  const Netlist nl = random_netlist(rng);
-
-  set_batch_legacy_engine(true);
-  EXPECT_STREQ(make_batch_sim(nl, 64)->engine_desc(), "legacy");
-  set_batch_legacy_engine(false);
-
-  set_jit_override(0);
-  set_fuse_override(1);
-  EXPECT_STREQ(make_batch_sim(nl, 64)->engine_desc(), "fused");
-  set_fuse_override(0);
-  EXPECT_STREQ(make_batch_sim(nl, 64)->engine_desc(), "full");
-  EXPECT_STREQ(batch_engine_tag(), "interp");
+TEST(GateProgOracleMatrix, RandomNetlistsMatchSimulatorAtEveryWidth) {
+  run_oracle_matrix(0xF00D, 25);
+  run_oracle_matrix(0xBEEF, 3);
 }
 
 }  // namespace

@@ -23,7 +23,6 @@
 
 #include "errmodel/models.hpp"
 #include "gate/batchsim.hpp"
-#include "gate/jit.hpp"
 #include "net/coordinator.hpp"
 #include "net/dispatch.hpp"
 #include "net/framing.hpp"
@@ -603,46 +602,39 @@ TEST(NetE2E, FleetExportMatchesSingleProcessByteForByte) {
   std::remove(fleet_path.c_str());
 }
 
-// Engine knobs cannot leak into fleet results: a two-worker fleet running
-// the optimized engine (JIT'd when the container has a compiler) must export
-// the same bytes as a single-process run on the legacy slot interpreter.
-TEST(NetE2E, GateFleetJitExportMatchesLegacySingleProcess) {
+// Engines cannot leak into fleet results: a two-worker fleet running the
+// batch engine retires exactly the records of a single-process run on the
+// brute-force reference engine (the per-record CSV export is byte-identical;
+// only the campaign's engine label differs).
+TEST(NetE2E, GateFleetExportMatchesBruteSingleProcess) {
   constexpr std::size_t kMaxIssues = 30;
-  const store::CampaignMeta meta = report::gate_campaign_meta(
-      gate::UnitKind::Decoder, /*faults_per_unit=*/48, kMaxIssues, /*seed=*/5,
-      EngineKind::Batch);
+  const auto meta_for = [&](EngineKind e) {
+    return report::gate_campaign_meta(gate::UnitKind::Decoder,
+                                      /*faults_per_unit=*/48, kMaxIssues,
+                                      /*seed=*/5, e);
+  };
   const auto traces = report::collect_profiling_traces(kMaxIssues);
-  struct EngineGuard {
-    ~EngineGuard() {
-      gate::set_batch_legacy_engine(false);
-      set_jit_override(-1);
-      set_jit_cache_dir_override("");
-      gate::jit_reset_for_tests();
-    }
-  } guard;
 
-  set_jit_override(0);
-  gate::set_batch_legacy_engine(true);
-  const std::string solo_path = temp_store_path("gate_solo");
+  const std::string solo_path = temp_store_path("gate_solo_brute");
   {
-    store::CampaignCheckpoint ckpt(solo_path, meta);
+    store::CampaignCheckpoint ckpt(solo_path, meta_for(EngineKind::Brute));
     report::run_unit_campaign_store(traces, ckpt);
   }
-
-  gate::set_batch_legacy_engine(false);
-  set_jit_override(gate::jit_compiler_available() ? 1 : 0);
-  set_jit_cache_dir_override(testing::TempDir() + "gpf-jit-fleet");
-  gate::jit_reset_for_tests();
   const std::string fleet_path = temp_store_path("gate_fleet");
   {
-    store::CampaignCheckpoint ckpt(fleet_path, meta);
+    store::CampaignCheckpoint ckpt(fleet_path, meta_for(EngineKind::Batch));
     run_fleet(ckpt, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/8);
   }
 
-  EXPECT_EQ(export_json(solo_path), export_json(fleet_path));
+  const auto csv = [](const std::string& path) {
+    std::ostringstream os;
+    store::export_store(store::load_store(path), store::ExportFormat::Csv, os);
+    return os.str();
+  };
+  EXPECT_EQ(csv(solo_path), csv(fleet_path));
+  EXPECT_EQ(store::load_store(fleet_path).records.size(), 48u);
   std::remove(solo_path.c_str());
   std::remove(fleet_path.c_str());
-  std::filesystem::remove_all(testing::TempDir() + "gpf-jit-fleet");
 }
 
 TEST(NetE2E, FleetResumesPartialStore) {

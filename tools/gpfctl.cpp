@@ -9,7 +9,7 @@
 // over TCP and streams results back (see src/net/).
 //
 //   gpfctl run --campaign gate  --unit decoder|fetch|wsc|all [--faults N]
-//              [--max-issues N] [--engine brute|event|batch]
+//              [--max-issues N] [--engine brute|batch]
 //   gpfctl run --campaign rtl   --tile max|zero|random
 //              --site fu|sfu|pipeline|scheduler --injections N
 //   gpfctl run --campaign perfi --app NAME --model IOC|IRA|... --injections N
@@ -55,7 +55,6 @@
 #include "common/env.hpp"
 #include "common/threadpool.hpp"
 #include "gate/batchsim.hpp"
-#include "gate/jit.hpp"
 #include "net/framing.hpp"
 #include "net/protocol.hpp"
 #include "net/service.hpp"
@@ -84,7 +83,7 @@ int usage(const char* msg = nullptr) {
   std::cerr <<
       "usage:\n"
       "  gpfctl run --campaign gate --unit decoder|fetch|wsc|all [--faults N]\n"
-      "             [--max-issues N] [--engine brute|event|batch]\n"
+      "             [--max-issues N] [--engine brute|batch]\n"
       "  gpfctl run --campaign rtl --tile max|zero|random\n"
       "             --site fu|sfu|pipeline|scheduler --injections N\n"
       "  gpfctl run --campaign perfi --app NAME --model IOC|... --injections N\n"
@@ -435,8 +434,7 @@ int cmd_status(const Args& a) {
       if (campaign_engine() == EngineKind::Batch) {
         const std::size_t lanes = gate::batch_lane_width();
         std::cout << "  batch lanes: " << lanes << " ("
-                  << gate::batch_simd_path(lanes) << ", "
-                  << gate::batch_engine_tag() << ")\n";
+                  << gate::batch_simd_path(lanes) << ")\n";
       }
     }
   }
