@@ -28,16 +28,22 @@ bool only_trailing_space(const char* end) {
 
 }  // namespace
 
+bool parse_u64(const char* value, unsigned long long& out) {
+  const char* start = numeric_start(value);
+  if (!start || !*start) return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(start, &end, 0);
+  if (end == start || errno == ERANGE || !only_trailing_space(end)) return false;
+  out = v;
+  return true;
+}
+
 unsigned long long parse_env_u64(const char* var, const char* value,
                                  unsigned long long fallback) {
   if (!value) return fallback;
-  const char* start = numeric_start(value);
-  if (start && *start) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(start, &end, 0);
-    if (end != start && errno != ERANGE && only_trailing_space(end)) return v;
-  }
+  unsigned long long v = 0;
+  if (parse_u64(value, v)) return v;
   std::fprintf(stderr,
                "[gpf] ignoring %s=\"%s\": not an unsigned integer; "
                "using default %llu\n",
@@ -280,15 +286,6 @@ void set_warehouse_override(int v) {
   g_warehouse_override = v < 0 ? -1 : (v ? 1 : 0);
 }
 
-std::uint32_t compact_interval_ms() {
-  static const std::uint32_t ms = [] {
-    const unsigned long long v =
-        parse_env_u64("GPF_COMPACT_MS", std::getenv("GPF_COMPACT_MS"), 5000);
-    return static_cast<std::uint32_t>(std::min(v, 0xFFFFFFFFull));
-  }();
-  return ms;
-}
-
 std::string http_addr() {
   static const std::string addr = [] {
     const char* s = std::getenv("GPF_HTTP_ADDR");
@@ -341,7 +338,6 @@ void dump_env(std::ostream& os) {
        << " (override)\n";
   else
     line("GPF_WAREHOUSE", warehouse_enabled() ? "1" : "0");
-  line("GPF_COMPACT_MS", std::to_string(compact_interval_ms()));
   line("GPF_HTTP_ADDR", http_addr().empty() ? "(off)" : http_addr());
 }
 

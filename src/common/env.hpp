@@ -21,7 +21,6 @@
 //   GPF_TRACE             Chrome trace-event JSON output path (default off)
 //   GPF_STATUS_MS         campaign progress-line period in ms (default 5000, 0 = off)
 //   GPF_WAREHOUSE         compact stores into .gpfw warehouse segments: 1 | 0 (default 1)
-//   GPF_COMPACT_MS        gpfd incremental-compaction period in ms (default 5000, 0 = at exit only)
 //   GPF_HTTP_ADDR         gpfd HTTP/JSON endpoint host:port (default "" = off)
 //
 // Numeric knobs are parsed strictly: a value that is not entirely a number
@@ -36,12 +35,16 @@
 
 namespace gpf {
 
-/// Strictly parses `value` (the contents of environment variable `var`) as an
-/// unsigned integer (decimal, or 0x/0-prefixed hex/octal). Leading/trailing
-/// whitespace is allowed; anything else non-numeric — including a leading
-/// minus sign, trailing garbage, or an empty string — rejects the whole
-/// value: a warning naming `var` is printed on stderr and `fallback` is
-/// returned. `value == nullptr` (unset variable) returns `fallback` silently.
+/// Strictly parses `value` as an unsigned integer (decimal, or 0x/0-prefixed
+/// hex/octal) into `out`. Leading/trailing whitespace is allowed; anything
+/// else non-numeric — a leading minus sign, trailing garbage, an empty
+/// string, or a value past 2^64-1 — rejects the whole value (returns false,
+/// `out` untouched). The one numeric grammar for GPF_* knobs and CLI flags.
+bool parse_u64(const char* value, unsigned long long& out);
+
+/// parse_u64 for the contents of environment variable `var`: a rejected
+/// value prints a warning naming `var` on stderr and returns `fallback`.
+/// `value == nullptr` (unset variable) returns `fallback` silently.
 unsigned long long parse_env_u64(const char* var, const char* value,
                                  unsigned long long fallback);
 
@@ -168,18 +171,12 @@ std::uint32_t status_interval_ms();
 
 /// GPF_WAREHOUSE environment variable: when on (the default), gpfctl
 /// run/resume and gpfd roll the campaign store into its columnar warehouse
-/// segment (<store>.gpfw) at campaign end, and gpfd refreshes it
-/// incrementally while serving — `gpfctl query` and the HTTP /v1/query
-/// endpoint answer from its pre-aggregated rollups in O(ms). Same
+/// segment (<store>.gpfw) at campaign end, and gpfd's HTTP /v1/query
+/// refreshes it incrementally on each request — `gpfctl query` and
+/// /v1/query answer from its pre-aggregated rollups in O(ms). Same
 /// off-spellings as GPF_COLLAPSE. Override: -1 = defer to environment.
 bool warehouse_enabled();
 void set_warehouse_override(int v);
-
-/// GPF_COMPACT_MS environment variable: how often gpfd's background
-/// compaction thread rolls freshly appended records into the warehouse
-/// segment (default 5000 ms; 0 = compact only once, at end of serve). The
-/// gpfd --compact-ms flag overrides.
-std::uint32_t compact_interval_ms();
 
 /// GPF_HTTP_ADDR environment variable: "host:port" of gpfd's HTTP/1.1 JSON
 /// endpoint (GET /v1/stats, /v1/query). Empty string (the default) disables

@@ -9,8 +9,10 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
@@ -45,6 +47,14 @@ std::string campaign_name_from_path(const std::string& path) {
 
 [[noreturn]] void sys_error(const std::string& what) {
   throw std::runtime_error("gpfd: " + what + ": " + std::strerror(errno));
+}
+
+void epoll_watch(int epoll_fd, int fd, std::uint32_t events, const char* what) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0)
+    sys_error(std::string("epoll_ctl add ") + what);
 }
 
 }  // namespace
@@ -92,17 +102,23 @@ Coordinator::Coordinator(const CoordinatorConfig& cfg)
   set_nonblocking(listener_, true);
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ < 0) sys_error("epoll_create1");
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listener_.fd();
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listener_.fd(), &ev) != 0)
-    sys_error("epoll_ctl add listener");
+  epoll_watch(epoll_fd_, listener_.fd(), EPOLLIN, "listener");
 }
 
 Coordinator::Coordinator(store::CampaignCheckpoint& ckpt,
                          const CoordinatorConfig& cfg)
     : Coordinator(cfg) {
   add_campaign(ckpt);
+}
+
+std::uint16_t Coordinator::listen_http(const std::string& addr,
+                                       HttpHandler handler) {
+  const auto [host, port] = parse_addr(addr);
+  http_listener_ = listen_tcp(host, port);
+  set_nonblocking(http_listener_, true);
+  http_handler_ = std::move(handler);
+  epoll_watch(epoll_fd_, http_listener_.fd(), EPOLLIN, "http listener");
+  return local_port(http_listener_);
 }
 
 Coordinator::~Coordinator() {
@@ -245,6 +261,15 @@ std::vector<std::string> Coordinator::store_paths() {
   return paths;
 }
 
+std::string Coordinator::store_path(const std::string& campaign) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (campaign.empty())
+    return campaigns_.size() == 1 ? campaigns_.begin()->second.ckpt->path()
+                                  : "";
+  const Campaign* c = find_campaign_locked(campaign);
+  return c ? c->ckpt->path() : "";
+}
+
 std::size_t Coordinator::session_rows() {
   std::lock_guard<std::mutex> lock(mu_);
   return sessions_.size();
@@ -268,6 +293,11 @@ bool Coordinator::stop_serving() {
 void Coordinator::tick(LeaseDispatcher::Clock::time_point now) {
   static obs::Counter& expiries = obs::counter("net.lease_expiries");
   static obs::Counter& evictions = obs::counter("net.session_evictions");
+  // HTTP head deadline: a client that connects and trickles (or sends
+  // nothing) is dropped instead of pinning a connection.
+  for (auto& [fd, conn] : conns_)
+    if (conn->is_http && !conn->answered && now >= conn->head_deadline)
+      conn->dead = true;
   std::lock_guard<std::mutex> lock(mu_);
   std::uint64_t agg_retired = 0;
   for (auto it = campaigns_.begin(); it != campaigns_.end();) {
@@ -333,9 +363,9 @@ void Coordinator::tick(LeaseDispatcher::Clock::time_point now) {
   }
 }
 
-void Coordinator::accept_ready() {
+void Coordinator::accept_ready(const Socket& listener, bool http) {
   while (true) {
-    const int fd = ::accept(listener_.fd(), nullptr, nullptr);
+    const int fd = ::accept(listener.fd(), nullptr, nullptr);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;
@@ -343,20 +373,23 @@ void Coordinator::accept_ready() {
     }
     auto conn = std::make_unique<Conn>();
     conn->sock = Socket(fd);
-    conn->session = next_session_++;
     set_nonblocking(conn->sock, true);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0)
-      sys_error("epoll_ctl add conn");
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.sessions;
+    conn->events = EPOLLIN;
+    epoll_watch(epoll_fd_, fd, conn->events, "conn");
+    if (http) {
+      conn->is_http = true;
+      conn->head_deadline = LeaseDispatcher::Clock::now() +
+                            std::chrono::milliseconds(kHttpHeadDeadlineMs);
+    } else {
+      conn->session = next_session_++;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.sessions;
+      }
+      if (cfg_.verbose)
+        std::fprintf(stderr, "[gpfd] session %llu connected\n",
+                     static_cast<unsigned long long>(conn->session));
     }
-    if (cfg_.verbose)
-      std::fprintf(stderr, "[gpfd] session %llu connected\n",
-                   static_cast<unsigned long long>(conn->session));
     conns_.emplace(fd, std::move(conn));
     conn_count_.store(conns_.size(), std::memory_order_relaxed);
   }
@@ -367,7 +400,7 @@ void Coordinator::close_conn(int fd) {
   if (it == conns_.end()) return;
   Conn& conn = *it->second;
   static obs::Counter& releases = obs::counter("net.lease_releases");
-  {
+  if (!conn.is_http) {
     std::lock_guard<std::mutex> lock(mu_);
     // Admitted records are already retired in their dispatchers: they MUST
     // reach the store (only the reply frames die with the socket), or the
@@ -379,10 +412,10 @@ void Coordinator::close_conn(int fd) {
     }
     if (auto s = sessions_.find(conn.session); s != sessions_.end())
       s->second.connected = false;
+    if (cfg_.verbose)
+      std::fprintf(stderr, "[gpfd] session %llu disconnected\n",
+                   static_cast<unsigned long long>(conn.session));
   }
-  if (cfg_.verbose)
-    std::fprintf(stderr, "[gpfd] session %llu disconnected\n",
-                 static_cast<unsigned long long>(conn.session));
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   conns_.erase(it);
   conn_count_.store(conns_.size(), std::memory_order_relaxed);
@@ -413,15 +446,19 @@ void Coordinator::flush_writes(Conn& conn) {
     conn.wbuf.clear();
     conn.woff = 0;
   }
-  update_write_interest(conn);
+  update_interest(conn);
 }
 
-void Coordinator::update_write_interest(Conn& conn) {
-  const bool want = !conn.wbuf.empty();
-  if (want == conn.want_write) return;
-  conn.want_write = want;
+void Coordinator::update_interest(Conn& conn) {
+  // An answered HTTP connection only waits for its response to flush;
+  // dropping EPOLLIN keeps a peer that shut down its side from waking the
+  // loop on every pass until then.
+  const std::uint32_t events = (conn.answered ? 0u : EPOLLIN) |
+                               (conn.wbuf.empty() ? 0u : EPOLLOUT);
+  if (events == conn.events) return;
+  conn.events = events;
   epoll_event ev{};
-  ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
+  ev.events = events;
   ev.data.fd = conn.sock.fd();
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.sock.fd(), &ev);
 }
@@ -479,6 +516,41 @@ void Coordinator::handle_readable(Conn& conn) {
     conn.rbuf.erase(conn.rbuf.begin(),
                     conn.rbuf.begin() + static_cast<std::ptrdiff_t>(conn.roff));
     conn.roff = 0;
+  }
+}
+
+void Coordinator::handle_http_readable(Conn& conn) {
+  char tmp[4096];
+  bool eof = false;
+  // Drain what has arrived (closing on unread input would reset the
+  // connection under a client still reading the answer), but buffer at most
+  // one chunk past the head cap — answer_http needs no more — and read at
+  // most 64 KiB a wakeup, so a client streaming garbage can neither grow the
+  // buffer nor hold the loop.
+  for (int chunk = 0; chunk < 16; ++chunk) {
+    const ssize_t n = ::recv(conn.sock.fd(), tmp, sizeof(tmp), 0);
+    if (n > 0) {
+      if (conn.rbuf.size() < kHttpMaxHeadBytes)
+        conn.rbuf.insert(conn.rbuf.end(), tmp, tmp + n);
+      continue;
+    }
+    if (n == 0) {
+      eof = true;
+      break;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    conn.dead = true;
+    return;
+  }
+  const std::string_view received(
+      reinterpret_cast<const char*>(conn.rbuf.data()), conn.rbuf.size());
+  // Registry lock not held: the handler takes it through snapshot_stats etc.
+  if (std::optional<std::string> wire =
+          answer_http(received, eof, http_handler_)) {
+    conn.wbuf.assign(wire->begin(), wire->end());
+    conn.answered = true;
+    conn.rbuf.clear();
   }
 }
 
@@ -765,23 +837,30 @@ Coordinator::Stats Coordinator::serve() {
     for (int i = 0; i < n; ++i) {
       const int fd = evs[i].data.fd;
       if (fd == listener_.fd()) {
-        accept_ready();
+        accept_ready(listener_, /*http=*/false);
+        continue;
+      }
+      if (fd == http_listener_.fd()) {
+        accept_ready(http_listener_, /*http=*/true);
         continue;
       }
       const auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
       Conn& conn = *it->second;
       if (evs[i].events & (EPOLLHUP | EPOLLERR)) conn.dead = true;
-      if (!conn.dead && (evs[i].events & EPOLLIN)) handle_readable(conn);
+      if (!conn.dead && (evs[i].events & EPOLLIN))
+        conn.is_http ? handle_http_readable(conn) : handle_readable(conn);
       if (!conn.dead && (evs[i].events & EPOLLOUT)) flush_writes(conn);
     }
     // Write admitted records and flush owed replies, then reap dead
-    // connections (their admitted records are written by close_conn).
+    // connections (their admitted records are written by close_conn) and
+    // HTTP connections whose response is out.
     std::vector<int> dead;
     for (auto& [fd, conn] : conns_) {
       if (!conn->dead) {
         process_appends(*conn);
         flush_writes(*conn);
+        if (conn->answered && conn->wbuf.empty()) conn->dead = true;
       }
       if (conn->dead) dead.push_back(fd);
     }
@@ -804,6 +883,7 @@ Coordinator::Stats Coordinator::serve() {
   for (const auto& [fd, conn] : conns_) fds.push_back(fd);
   for (const int fd : fds) close_conn(fd);
   listener_.close();
+  http_listener_.close();
 
   std::lock_guard<std::mutex> lock(mu_);
   bool all_done = true;

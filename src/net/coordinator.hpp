@@ -13,7 +13,9 @@
 // write buffer (flushed opportunistically, EPOLLOUT only while non-empty).
 // No per-connection threads exist anywhere — a `gpfctl top` poll costs two
 // buffers, not a thread — and the loop doubles as the lease reaper, session
-// TTL evictor, and campaign finalizer.
+// TTL evictor, and campaign finalizer. With listen_http, the same loop also
+// serves gpfd's HTTP endpoints on a second listener, so the whole daemon is
+// one thread.
 //
 // Backpressure: a Result's records are admitted into a bounded
 // per-connection append queue (acknowledged only after they reach the
@@ -44,6 +46,7 @@
 
 #include "net/dispatch.hpp"
 #include "net/framing.hpp"
+#include "net/http.hpp"
 #include "net/protocol.hpp"
 #include "store/checkpoint.hpp"
 
@@ -110,6 +113,16 @@ class Coordinator {
 
   std::uint16_t port() const { return port_; }
 
+  /// Binds a second, HTTP listener on `addr` ("host:port", port 0 =
+  /// kernel-assigned) and returns its port; call before serve(). serve()
+  /// reads each HTTP connection's request head, calls `handler` on the loop
+  /// thread with the registry lock not held (so the handler may call
+  /// snapshot_stats and friends), and closes the connection once the
+  /// response is flushed. A head must arrive within kHttpHeadDeadlineMs.
+  /// HTTP connections are not sessions: they never count in
+  /// Stats::sessions or the worker table.
+  std::uint16_t listen_http(const std::string& addr, HttpHandler handler);
+
   /// Asks serve() to stop granting leases and return once outstanding
   /// leases finish or expire. Async-safe (atomic store): callable from a
   /// signal handler.
@@ -139,9 +152,13 @@ class Coordinator {
   /// Registry view (thread-safe), as served to `gpfctl campaigns`.
   std::vector<CampaignRow> list_campaigns();
 
-  /// Store paths of all live campaigns (thread-safe) — gpfd polls this to
-  /// keep its per-campaign compactors in step with remote submissions.
+  /// Store paths of all live campaigns (thread-safe), as gpfd reports and
+  /// compacts them at exit.
   std::vector<std::string> store_paths();
+
+  /// Store path of the campaign registered as `campaign` ("" = the only
+  /// campaign, if exactly one is registered); "" when there is none.
+  std::string store_path(const std::string& campaign);
 
   /// Live connection-state count (thread-safe); the churn regression test
   /// asserts this returns to baseline after N connect/disconnect cycles.
@@ -179,12 +196,15 @@ class Coordinator {
     std::string peer_name;
     std::string campaign_filter;  ///< from Hello; "" = any campaign
     bool is_worker = false;  ///< leased/resulted at least once (stats rows)
+    bool is_http = false;    ///< accepted on the HTTP listener
+    bool answered = false;   ///< HTTP: response queued; close once flushed
+    LeaseDispatcher::Clock::time_point head_deadline{};  ///< HTTP only
     bool dead = false;
     std::vector<std::uint8_t> rbuf;
     std::size_t roff = 0;
     std::vector<std::uint8_t> wbuf;
     std::size_t woff = 0;
-    bool want_write = false;  ///< EPOLLOUT currently registered
+    std::uint32_t events = 0;  ///< epoll interest currently registered
     std::deque<PendingAppend> appends;
     std::size_t outstanding_records = 0;
   };
@@ -205,13 +225,14 @@ class Coordinator {
   Campaign* find_campaign_locked(const std::string& name);
   CampaignRow campaign_row_locked(const Campaign& c) const;
 
-  void accept_ready();
+  void accept_ready(const Socket& listener, bool http);
   void close_conn(int fd);
   void handle_readable(Conn& conn);
+  void handle_http_readable(Conn& conn);
   void handle_message(Conn& conn, const Frame& f);
   void queue_frame(Conn& conn, const Frame& f);
   void flush_writes(Conn& conn);
-  void update_write_interest(Conn& conn);
+  void update_interest(Conn& conn);
   void process_appends(Conn& conn);
   void drain_appends_locked(Conn& conn, bool queue_replies);
   void tick(LeaseDispatcher::Clock::time_point now);
@@ -230,6 +251,8 @@ class Coordinator {
   CoordinatorConfig cfg_;
   Socket listener_;
   std::uint16_t port_ = 0;
+  Socket http_listener_;
+  HttpHandler http_handler_;
   int epoll_fd_ = -1;
 
   std::mutex mu_;  ///< guards campaigns_, sessions_, stats_, rate windows

@@ -61,10 +61,6 @@ Socket listen_tcp(const std::string& host, std::uint16_t port, int backlog = 16)
 /// The locally bound port of a listening/connected socket.
 std::uint16_t local_port(const Socket& s);
 
-/// Accepts one client, waiting at most timeout_ms (poll). Returns an
-/// invalid Socket on timeout; throws on listener failure.
-Socket accept_client(const Socket& listener, int timeout_ms);
-
 /// Connects to host:port. Throws on failure (the worker wraps this in its
 /// reconnect backoff loop).
 Socket connect_tcp(const std::string& host, std::uint16_t port);

@@ -1,18 +1,18 @@
 #include "net/http.hpp"
 
-#include <sys/socket.h>
-
 #include <cstdio>
 #include <sstream>
 
+#include "common/env.hpp"
+#include "net/coordinator.hpp"
 #include "obs/metrics.hpp"
 #include "store/export.hpp"
+#include "warehouse/compact.hpp"
+#include "warehouse/query.hpp"
 
 namespace gpf::net {
 
 namespace {
-
-constexpr std::size_t kMaxHeadBytes = 8192;
 
 const char* status_text(int status) {
   switch (status) {
@@ -122,76 +122,79 @@ std::string serialize_http_response(const HttpResponse& r) {
   return os.str();
 }
 
-HttpServer::HttpServer(const std::string& addr, HttpHandler handler)
-    : handler_(std::move(handler)) {
-  const auto [host, port] = parse_addr(addr);
-  listener_ = listen_tcp(host, port);
-  port_ = local_port(listener_);
-}
-
-HttpServer::~HttpServer() { stop(); }
-
-void HttpServer::start() {
-  if (thread_.joinable()) return;
-  stop_.store(false);
-  thread_ = std::thread([this] { serve_loop(); });
-}
-
-void HttpServer::stop() {
-  stop_.store(true);
-  if (thread_.joinable()) thread_.join();
-}
-
-void HttpServer::serve_loop() {
+std::optional<std::string> answer_http(std::string_view received, bool eof,
+                                       const HttpHandler& handler) {
   static obs::Counter& requests = obs::counter("http.requests");
   static obs::Counter& errors = obs::counter("http.errors");
-  while (!stop_.load(std::memory_order_relaxed)) {
-    Socket client;
-    try {
-      client = accept_client(listener_, 200);
-    } catch (const std::exception&) {
-      break;  // listener died; nothing to serve
-    }
-    if (!client.valid()) continue;
+  const std::size_t blank = received.find("\r\n\r\n");
+  const bool complete = blank != std::string_view::npos;
+  const bool oversized = complete ? blank + 4 > kHttpMaxHeadBytes
+                                  : received.size() >= kHttpMaxHeadBytes;
+  if (!complete && !oversized && !eof) return std::nullopt;
 
-    HttpResponse resp;
+  HttpResponse resp;
+  HttpRequest req;
+  if (oversized) {
+    resp = {400, "application/json", "{\"error\": \"request head over 8 KiB\"}\n"};
+  } else if (!parse_http_request(
+                 std::string(received.substr(0, complete ? blank + 4
+                                                         : received.size())),
+                 req)) {
+    resp = {400, "application/json", "{\"error\": \"malformed request\"}\n"};
+  } else if (req.method != "GET") {
+    resp = {405, "application/json", "{\"error\": \"GET only\"}\n"};
+  } else {
     try {
-      set_recv_timeout(client, 2000);
-      std::string head;
-      char buf[1024];
-      while (head.find("\r\n\r\n") == std::string::npos &&
-             head.size() < kMaxHeadBytes) {
-        const ssize_t n = ::recv(client.fd(), buf, sizeof(buf), 0);
-        if (n <= 0) break;
-        head.append(buf, static_cast<std::size_t>(n));
-      }
-      HttpRequest req;
-      if (!parse_http_request(head, req)) {
-        resp = {400, "application/json", "{\"error\": \"malformed request\"}\n"};
-      } else if (req.method != "GET") {
-        resp = {405, "application/json", "{\"error\": \"GET only\"}\n"};
-      } else {
-        resp = handler_(req);
-      }
+      resp = handler(req);
     } catch (const std::exception& e) {
       resp = {500, "application/json",
               "{\"error\": " + json_str(e.what()) + "}\n"};
       errors.add(1);
     }
-    requests.add(1);
-    try {
-      const std::string wire = serialize_http_response(resp);
-      std::size_t off = 0;
-      while (off < wire.size()) {
-        const ssize_t n = ::send(client.fd(), wire.data() + off,
-                                 wire.size() - off, MSG_NOSIGNAL);
-        if (n <= 0) break;
-        off += static_cast<std::size_t>(n);
-      }
-    } catch (const std::exception&) {
-      // Peer went away mid-response; nothing to do.
-    }
   }
+  requests.add(1);
+  return serialize_http_response(resp);
+}
+
+HttpResponse gpfd_route(const HttpRequest& req, Coordinator& coordinator) {
+  const auto param = [&req](const char* key) -> std::string {
+    const auto it = req.params.find(key);
+    return it == req.params.end() ? "" : it->second;
+  };
+  if (req.path == "/v1/stats")
+    return {200, "application/json",
+            stats_json(coordinator.snapshot_stats(param("campaign")))};
+  if (req.path == "/v1/campaigns")
+    return {200, "application/json", campaigns_json(coordinator.list_campaigns())};
+  if (req.path == "/v1/query") {
+    if (!warehouse_enabled())
+      return {404, "application/json",
+              "{\"error\": \"warehouse disabled (GPF_WAREHOUSE=0)\"}\n"};
+    const std::string store = coordinator.store_path(param("campaign"));
+    if (store.empty())
+      return {400, "application/json",
+              "{\"error\": \"ambiguous or unknown campaign; pass "
+              "?campaign=NAME\"}\n"};
+    warehouse::Metric metric = warehouse::Metric::Epr;
+    warehouse::QueryFormat format = warehouse::QueryFormat::Json;
+    if (req.params.count("metric") &&
+        !warehouse::parse_metric(param("metric"), metric))
+      return {400, "application/json",
+              "{\"error\": \"unknown metric; expected "
+              "epr|classes|syndromes|workers\"}\n"};
+    if (req.params.count("format") &&
+        !warehouse::parse_format(param("format"), format))
+      return {400, "application/json",
+              "{\"error\": \"unknown format; expected json|csv|table\"}\n"};
+    const std::string seg = warehouse::warehouse_path_for(store);
+    warehouse::refresh_segment({store}, seg);
+    return {200,
+            format == warehouse::QueryFormat::Json ? "application/json"
+                                                   : "text/plain",
+            warehouse::render_metric(warehouse::read_footer(seg), metric,
+                                     format)};
+  }
+  return {404, "application/json", "{\"error\": \"no such endpoint\"}\n"};
 }
 
 namespace {

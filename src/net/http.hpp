@@ -1,25 +1,35 @@
-// Minimal HTTP/1.1 serving layer for gpfd's observability endpoints.
+// Minimal HTTP/1.1 layer for gpfd's observability endpoints.
 //
-// This is deliberately not a web framework: one short-lived connection at a
-// time, GET only, Connection: close, request head capped at 8 KiB. It
-// exists so `curl http://gpfd/v1/stats` and dashboards can read campaign
-// progress and warehouse rollups without speaking the binary frame
-// protocol. Reuses the same Socket/listen/accept utilities as the
-// coordinator, so the two listeners behave identically under drain.
+// This is deliberately not a web framework: GET only, Connection: close,
+// request head capped at 8 KiB and due within 2 s of connecting. It exists
+// so `curl http://gpfd/v1/stats` and dashboards can read campaign progress
+// and warehouse rollups without speaking the binary frame protocol. The
+// connections themselves are served by the coordinator's epoll loop (see
+// Coordinator::listen_http), next to the workers' frame connections; this
+// file holds the wire format and gpfd's routes.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
-#include <thread>
+#include <string_view>
+#include <vector>
 
-#include "net/framing.hpp"
 #include "net/protocol.hpp"
-#include "store/result_log.hpp"
 
 namespace gpf::net {
+
+class Coordinator;
+
+/// A request head (request line + headers + blank line) longer than this is
+/// answered 400 without waiting for its end.
+constexpr std::size_t kHttpMaxHeadBytes = 8192;
+/// A client that has not sent its whole head this long after connecting is
+/// disconnected unanswered.
+constexpr std::uint32_t kHttpHeadDeadlineMs = 2000;
 
 struct HttpRequest {
   std::string method;  ///< "GET"
@@ -44,32 +54,22 @@ std::string serialize_http_response(const HttpResponse& r);
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
-/// Single-threaded accept-and-respond loop on its own thread. The handler
-/// runs on that thread; it must be internally synchronized (the warehouse
-/// Compactor and Coordinator::snapshot_stats both are). Handler exceptions
-/// become 500 responses; a handler returning status 404 etc. passes through.
-class HttpServer {
- public:
-  /// Binds host:port immediately (port 0 = kernel-assigned; read back with
-  /// port()). Throws on bind failure. Call start() to begin serving.
-  HttpServer(const std::string& addr, HttpHandler handler);
-  ~HttpServer();
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
+/// Incremental request reader for a non-blocking connection: given the
+/// bytes received so far and whether the peer has shut down its side,
+/// returns the serialized response once the head is complete (or can never
+/// be): the handler's answer, 400 for a malformed head or one over
+/// kHttpMaxHeadBytes, 405 for anything but GET, 500 with the reason when
+/// the handler throws. Returns nullopt while more bytes are needed.
+std::optional<std::string> answer_http(std::string_view received, bool eof,
+                                       const HttpHandler& handler);
 
-  std::uint16_t port() const { return port_; }
-  void start();
-  void stop();  ///< idempotent; joins the serving thread
-
- private:
-  void serve_loop();
-
-  Socket listener_;
-  std::uint16_t port_ = 0;
-  HttpHandler handler_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-};
+/// gpfd's routes: /v1/stats (live coordinator view, ?campaign= scopes it),
+/// /v1/campaigns (the registry) and /v1/query (warehouse rollups;
+/// ?metric=epr|classes|syndromes|workers, ?format=json|csv|table,
+/// ?campaign= picks the store when several are registered). /v1/query
+/// refreshes the campaign's segment incrementally before answering, so its
+/// rows are exactly the records in the store at request time.
+HttpResponse gpfd_route(const HttpRequest& req, Coordinator& coordinator);
 
 /// The /v1/stats body: the same live progress view `gpfctl top` renders —
 /// aggregate (or campaign-scoped) progress, the campaign registry, and the

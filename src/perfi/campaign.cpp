@@ -65,37 +65,6 @@ AppOutcome AppInjectionRunner::inject(const errmodel::ErrorDescriptor& desc) {
   return equal ? AppOutcome::Masked : AppOutcome::SDC;
 }
 
-EprCell run_epr_cell(const workloads::Workload& w, ErrorModel model, std::size_t n,
-                     std::uint64_t seed) {
-  EprCell cell;
-  AppInjectionRunner runner(w);
-  Rng rng(seed ^ (static_cast<std::uint64_t>(model) * 0x9E3779B9u));
-  for (std::size_t i = 0; i < n; ++i) {
-    const errmodel::ErrorDescriptor desc = random_descriptor(model, rng);
-    const AppOutcome out = runner.inject(desc);
-    ++cell.injections;
-    switch (out) {
-      case AppOutcome::Masked: ++cell.masked; break;
-      case AppOutcome::SDC: ++cell.sdc; break;
-      case AppOutcome::DUE: {
-        ++cell.due;
-        switch (runner.last_trap()) {
-          case arch::TrapKind::IllegalAddress:
-          case arch::TrapKind::InvalidPC:
-            ++cell.due_illegal_address;
-            break;
-          case arch::TrapKind::InvalidRegister: ++cell.due_invalid_register; break;
-          case arch::TrapKind::InvalidOpcode: ++cell.due_invalid_opcode; break;
-          case arch::TrapKind::Watchdog: ++cell.due_hang; break;
-          default: ++cell.due_other; break;
-        }
-        break;
-      }
-    }
-  }
-  return cell;
-}
-
 namespace {
 
 store::PerfiOutcome to_perfi_outcome(AppOutcome out, arch::TrapKind trap) {
@@ -145,6 +114,19 @@ void add_outcome(EprCell& cell, store::PerfiOutcome o) {
 }
 
 }  // namespace
+
+EprCell run_epr_cell(const workloads::Workload& w, ErrorModel model, std::size_t n,
+                     std::uint64_t seed) {
+  EprCell cell;
+  AppInjectionRunner runner(w);
+  Rng rng(seed ^ (static_cast<std::uint64_t>(model) * 0x9E3779B9u));
+  for (std::size_t i = 0; i < n; ++i) {
+    const errmodel::ErrorDescriptor desc = random_descriptor(model, rng);
+    const AppOutcome out = runner.inject(desc);
+    add_outcome(cell, to_perfi_outcome(out, runner.last_trap()));
+  }
+  return cell;
+}
 
 store::CampaignMeta epr_campaign_meta(const workloads::Workload& w,
                                       ErrorModel model, std::size_t n,

@@ -1,6 +1,7 @@
 #include "warehouse/compact.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <stdexcept>
 #include <utility>
 
@@ -186,6 +187,20 @@ CompactStats compact_stores(const std::vector<std::string>& store_paths,
                             const std::string& out_path) {
   Compactor c(store_paths, out_path);
   return c.refresh();
+}
+
+std::optional<CompactStats> refresh_segment(
+    const std::vector<std::string>& store_paths,
+    const std::string& segment_path, bool only_if_stale) {
+  if (only_if_stale && std::filesystem::exists(segment_path)) {
+    const auto seg_t = std::filesystem::last_write_time(segment_path);
+    if (std::all_of(store_paths.begin(), store_paths.end(),
+                    [&seg_t](const std::string& s) {
+                      return std::filesystem::last_write_time(s) <= seg_t;
+                    }))
+      return std::nullopt;
+  }
+  return compact_stores(store_paths, segment_path);
 }
 
 }  // namespace gpf::warehouse

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,8 +41,8 @@ struct CompactStats {
 
 /// Rolls a fixed set of source stores (shards of one campaign) into one
 /// segment file. Thread-safe: refresh() and the accessors may be called from
-/// different threads (gpfd refreshes on a timer while the HTTP handler reads
-/// footers).
+/// different threads (one Compactor can serve a refresher and readers of
+/// footer() at once).
 class Compactor {
  public:
   /// Validates that every path is a store of the same campaign with a
@@ -81,5 +82,17 @@ class Compactor {
 /// `out_path` from `store_paths` and return what happened.
 CompactStats compact_stores(const std::vector<std::string>& store_paths,
                             const std::string& out_path);
+
+/// Brings one campaign's segment up to date with its source store(s) before
+/// anything reads it: the one refresh path behind `gpfctl run`/`resume`'s
+/// and gpfd's exit compaction, gpfd's /v1/query and `gpfctl query`. It is
+/// compact_stores — incremental, scanning only fresh log tails. With
+/// `only_if_stale`, a segment whose mtime is later than every source's is
+/// trusted without being opened (`gpfctl query`'s cheap check for stores at
+/// rest; a live store's append can share the segment's mtime tick, so gpfd
+/// always refreshes). Returns nullopt when the segment was trusted.
+std::optional<CompactStats> refresh_segment(
+    const std::vector<std::string>& store_paths,
+    const std::string& segment_path, bool only_if_stale = false);
 
 }  // namespace gpf::warehouse

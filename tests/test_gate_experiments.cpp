@@ -2,7 +2,7 @@
 // exercised via benches): per-unit class counts stable across engines and
 // across a kill/resume cycle through the persistent store, and a 4-shard
 // merged store reproducing the single-store run exactly. Also the CLI's
-// --engine flag parser shared by gpfctl and gpfd.
+// --engine and numeric flag parsers shared by gpfctl and gpfd.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -333,6 +333,45 @@ TEST(CampaignFlags, ParseEngineAcceptsBruteAndBatchOnly) {
           << e.what();
     }
   }
+}
+
+// Numeric flags use the GPF_* knob grammar: decimal or 0x/0 prefixed,
+// surrounding whitespace allowed, nothing else.
+TEST(CampaignFlags, NumericFlagsParseStrictly) {
+  gpfcli::Args a;
+  a.flags = {{"injections", "5"}, {"seed", "0x10"}, {"faults", " 7 "}};
+  EXPECT_EQ(a.get_u64("injections", 0), 5u);
+  EXPECT_EQ(a.get_u64("seed", 0), 16u);
+  EXPECT_EQ(a.get_u64("faults", 0), 7u);
+  EXPECT_EQ(a.get_u64("lease-ms", 1234), 1234u);  // absent: the default
+}
+
+// A malformed number is a usage error naming the flag — never a silent
+// prefix ("5x" -> 5), a wrapped negative ("-1" -> 2^64-1), or a bare
+// "stoull" from the standard library.
+TEST(CampaignFlags, MalformedNumericFlagIsUsageErrorNamingTheFlag) {
+  for (const char* bad : {"5x", "-1", "abc", "", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    gpfcli::Args a;
+    a.flags = {{"injections", bad}};
+    try {
+      a.get_u64("injections", 0);
+      ADD_FAILURE() << "expected UsageError";
+    } catch (const gpfcli::UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("--injections"), std::string::npos)
+          << e.what();
+    }
+  }
+  // The same rejection reaches the campaign builders gpfctl run and gpfd use.
+  gpfcli::Args perfi;
+  perfi.flags = {{"campaign", "perfi"}, {"app", "vectoradd"},
+                 {"model", "IOC"}, {"injections", "5x"}};
+  EXPECT_THROW(gpfcli::metas_from_flags(perfi), gpfcli::UsageError);
+  perfi.flags["injections"] = "5";
+  perfi.flags["seed"] = "-1";
+  EXPECT_THROW(gpfcli::metas_from_flags(perfi), gpfcli::UsageError);
+  perfi.flags["seed"] = "3";
+  EXPECT_EQ(gpfcli::metas_from_flags(perfi).front().total, 5u);
 }
 
 }  // namespace

@@ -2,15 +2,16 @@
 // round-trips (protocol v3, incl. the registry messages), CRC rejection,
 // the lease state machine, deficit-round-robin fair share, the rate/ETA
 // window, backpressure (Busy) on both sides of the wire, connection-churn
-// and session-TTL accounting, and in-process fleet e2e runs — single- and
+// and session-TTL accounting, in-process fleet e2e runs — single- and
 // multi-campaign — whose stores must match single-process runs byte for
-// byte.
+// byte, and the HTTP endpoints served from the coordinator's loop.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -1080,8 +1081,8 @@ TEST(NetE2E, WorkerResendsResultAfterBusy) {
   const std::uint16_t port = local_port(listener);
 
   std::thread script([&] {
-    Socket c;
-    while (!c.valid()) c = accept_client(listener, 200);
+    Socket c(::accept(listener.fd(), nullptr, nullptr));
+    ASSERT_TRUE(c.valid());
     ResultMsg refused;
     bool sent_busy = false;
     bool awaiting_resend = false;
@@ -1253,35 +1254,95 @@ TEST(NetHttp, SerializeResponseCarriesStatusAndLength) {
 }
 
 namespace {
-/// Sends one raw request to a local HttpServer and reads to EOF.
-std::string http_roundtrip(std::uint16_t port, const std::string& request) {
-  Socket c = connect_tcp("127.0.0.1", port);
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+void send_all(const Socket& c, const std::string& bytes) {
   std::size_t off = 0;
-  while (off < request.size()) {
-    const ssize_t n = ::send(c.fd(), request.data() + off,
-                             request.size() - off, 0);
+  while (off < bytes.size()) {
+    const ssize_t n = ::send(c.fd(), bytes.data() + off, bytes.size() - off,
+                             MSG_NOSIGNAL);
     if (n <= 0) {
       ADD_FAILURE() << "send failed";
-      return "";
+      return;
     }
     off += static_cast<std::size_t>(n);
   }
+}
+
+/// Sends one raw request to a local HTTP listener and reads to EOF.
+std::string http_roundtrip(std::uint16_t port, const std::string& request) {
+  Socket c = connect_tcp("127.0.0.1", port);
+  send_all(c, request);
   std::string reply;
   char buf[1024];
   for (ssize_t n; (n = ::recv(c.fd(), buf, sizeof(buf), 0)) > 0;)
     reply.append(buf, static_cast<std::size_t>(n));
   return reply;
 }
+
+/// A coordinator serving HTTP from its own event loop, with one registered
+/// campaign nobody works on so serve() runs until the fixture drains it.
+/// Without a handler it serves gpfd's routes.
+class HttpCoordinator {
+ public:
+  explicit HttpCoordinator(HttpHandler handler = {})
+      : path_(temp_store_path("http")),
+        ckpt_(path_, perfi_meta(40, 7)),
+        coord_(ckpt_, config()) {
+    if (!handler)
+      handler = [this](const HttpRequest& req) {
+        return gpfd_route(req, coord_);
+      };
+    port_ = coord_.listen_http("127.0.0.1:0", std::move(handler));
+    loop_ = std::thread([this] { stats_ = coord_.serve(); });
+  }
+  ~HttpCoordinator() {
+    stop();
+    std::remove(path_.c_str());
+    std::remove((path_.substr(0, path_.size() - 5) + ".gpfw").c_str());
+  }
+
+  std::uint16_t port() const { return port_; }
+  Coordinator& coord() { return coord_; }
+  store::CampaignCheckpoint& ckpt() { return ckpt_; }
+  /// Drains the loop and returns what serve() counted.
+  const Coordinator::Stats& stop() {
+    if (loop_.joinable()) {
+      coord_.request_drain();
+      loop_.join();
+    }
+    return stats_;
+  }
+
+ private:
+  static CoordinatorConfig config() {
+    CoordinatorConfig cfg;
+    cfg.status_interval_ms = 0;
+    return cfg;
+  }
+
+  std::string path_;
+  store::CampaignCheckpoint ckpt_;
+  Coordinator coord_;
+  std::uint16_t port_ = 0;
+  std::thread loop_;
+  Coordinator::Stats stats_;
+};
+
+HttpResponse echo_handler(const HttpRequest& req) {
+  if (req.path == "/boom") throw std::runtime_error("handler exploded");
+  if (req.path == "/echo")
+    return {200, "text/plain", "metric=" + req.params.at("metric")};
+  return {404, "application/json", "{}"};
+}
+
 }  // namespace
 
-TEST(NetHttp, ServerRoutesDispatchesAndReportsErrors) {
-  HttpServer server("127.0.0.1:0", [](const HttpRequest& req) -> HttpResponse {
-    if (req.path == "/boom") throw std::runtime_error("handler exploded");
-    if (req.path == "/echo")
-      return {200, "text/plain", "metric=" + req.params.at("metric")};
-    return {404, "application/json", "{}"};
-  });
-  server.start();
+TEST(NetHttp, CoordinatorRoutesDispatchesAndReportsErrors) {
+  HttpCoordinator server(echo_handler);
 
   const std::string ok = http_roundtrip(
       server.port(), "GET /echo?metric=epr HTTP/1.1\r\nHost: t\r\n\r\n");
@@ -1309,7 +1370,107 @@ TEST(NetHttp, ServerRoutesDispatchesAndReportsErrors) {
       http_roundtrip(server.port(), "GET /echo?metric=x HTTP/1.1\r\n\r\n");
   EXPECT_NE(again.find("metric=x"), std::string::npos);
 
-  server.stop();
+  // HTTP clients are not fleet sessions.
+  EXPECT_TRUE(server.coord().snapshot_stats().workers.empty());
+  EXPECT_EQ(server.stop().sessions, 0u);
+}
+
+// One connected client that never sends a byte must not delay anyone else.
+TEST(NetHttp, IdleClientDoesNotBlockOtherRequests) {
+  HttpCoordinator server(echo_handler);
+  Socket idle = connect_tcp("127.0.0.1", server.port());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const auto t0 = Clock::now();
+  const std::string ok = http_roundtrip(
+      server.port(), "GET /echo?metric=epr HTTP/1.1\r\n\r\n");
+  EXPECT_LT(ms_since(t0), 200.0);
+  EXPECT_EQ(ok.find("HTTP/1.1 200 OK\r\n"), 0u);
+}
+
+// A client trickling its head one byte at a time is disconnected, without
+// an answer, at the head deadline — and serves no one else's requests late.
+TEST(NetHttp, TricklingClientClosedAtHeadDeadline) {
+  HttpCoordinator server(echo_handler);
+  Socket trickler = connect_tcp("127.0.0.1", server.port());
+  set_recv_timeout(trickler, 250);
+  const auto t0 = Clock::now();
+
+  std::atomic<bool> closed{false};
+  double closed_after_ms = 0;
+  std::string got;
+  std::thread drip([&] {
+    const std::string head = "GET /echo?metric=slow HTTP/1.1\r\nX-Pad: " +
+                             std::string(64, 'a') + "\r\n\r\n";
+    for (std::size_t i = 0; i < head.size() && ms_since(t0) < 6000; ++i) {
+      if (::send(trickler.fd(), head.data() + i, 1, MSG_NOSIGNAL) <= 0) break;
+      char buf[256];
+      const ssize_t n = ::recv(trickler.fd(), buf, sizeof(buf), 0);
+      if (n > 0) got.append(buf, static_cast<std::size_t>(n));
+      if (n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)) break;
+    }
+    closed_after_ms = ms_since(t0);
+    closed = true;
+  });
+
+  // Meanwhile everybody else is answered promptly.
+  while (!closed && ms_since(t0) < 1500) {
+    const auto t = Clock::now();
+    const std::string ok = http_roundtrip(
+        server.port(), "GET /echo?metric=epr HTTP/1.1\r\n\r\n");
+    EXPECT_LT(ms_since(t), 200.0);
+    EXPECT_EQ(ok.find("HTTP/1.1 200 OK\r\n"), 0u);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  drip.join();
+  EXPECT_TRUE(got.empty()) << got;
+  EXPECT_GE(closed_after_ms, kHttpHeadDeadlineMs - 50.0);
+  EXPECT_LT(closed_after_ms, kHttpHeadDeadlineMs + 1000.0);
+}
+
+TEST(NetHttp, OversizedHeadGets400) {
+  HttpCoordinator server(echo_handler);
+  // A well-formed request line followed by 9 KB of header and no blank line.
+  const std::string head = "GET /echo?metric=epr HTTP/1.1\r\nX-Pad: " +
+                           std::string(9000, 'a');
+  const std::string reply = http_roundtrip(server.port(), head);
+  EXPECT_EQ(reply.find("HTTP/1.1 400"), 0u) << reply.substr(0, 64);
+}
+
+// /v1/query refreshes the segment on demand: its rows are exactly the
+// records in the store when the request arrives, with no compaction timer.
+TEST(NetHttp, QueryRowsMatchRecordsAppendedBeforeRequest) {
+  HttpCoordinator server;
+  const auto rows_now = [&server]() -> long {
+    const std::string reply = http_roundtrip(
+        server.port(),
+        "GET /v1/query?metric=epr&format=json HTTP/1.1\r\n\r\n");
+    EXPECT_EQ(reply.find("HTTP/1.1 200 OK\r\n"), 0u) << reply;
+    const std::size_t at = reply.find("\"rows\": ");
+    if (at == std::string::npos) return -1;
+    return std::stol(reply.substr(at + 8));
+  };
+  const auto append = [&server](std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t id = from; id < to; ++id) {
+      store::PerfiRecord rec;
+      rec.outcome = id % 2 ? store::PerfiOutcome::Sdc
+                           : store::PerfiOutcome::Masked;
+      server.ckpt().record(id, store::encode(rec));
+    }
+  };
+
+  EXPECT_EQ(rows_now(), 0);
+  append(0, 5);
+  EXPECT_EQ(rows_now(), 5);
+  append(5, 12);
+  EXPECT_EQ(rows_now(), 12);  // immediately, not after a refresh period
+
+  const std::string unknown = http_roundtrip(
+      server.port(), "GET /v1/query?campaign=nope HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(unknown.find("HTTP/1.1 400"), 0u);
+  const std::string bad_metric = http_roundtrip(
+      server.port(), "GET /v1/query?metric=nope HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(bad_metric.find("HTTP/1.1 400"), 0u);
 }
 
 TEST(NetHttp, StatsJsonCarriesProgressCampaignsAndWorkers) {

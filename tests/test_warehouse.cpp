@@ -1,11 +1,12 @@
 // Warehouse tests: the rollup-vs-full-scan invariant on single, resumed and
 // shard-merged stores, segment round-trip and CRC validation, idempotent and
 // incremental compaction (byte-identical to one-shot), torn-segment
-// recovery, and query rendering.
+// recovery, refresh_segment's staleness check, and query rendering.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -387,8 +388,8 @@ TEST_F(WarehouseTest, CompactorRejectsMixedCampaigns) {
 }
 
 TEST_F(WarehouseTest, LiveCompactorServesFooterWhileLogGrows) {
-  // gpfd's usage pattern: one Compactor object, periodic refresh while the
-  // log is appended to by the same process, footer() between refreshes.
+  // A long-lived Compactor: refreshes while the same process appends to
+  // the log, footer() between refreshes.
   const std::string p = path("live.gpfs");
   store::ResultLog log(p, perfi_meta());
   for (std::uint64_t id = 0; id < 20; ++id) log.append(id, perfi_payload(id));
@@ -406,6 +407,40 @@ TEST_F(WarehouseTest, LiveCompactorServesFooterWhileLogGrows) {
   EXPECT_EQ(f.rows, 90u);
   const warehouse::Rollups ref = warehouse::compute_rollups(store::load_store(p));
   EXPECT_TRUE(ref == f.rollups);
+}
+
+// refresh_segment always refreshes unless asked to trust a segment newer
+// than every source; a source touched after the segment is refreshed.
+TEST_F(WarehouseTest, RefreshSegmentTrustsOnlyAFreshSegment) {
+  const std::string p = path("stale.gpfs");
+  const std::string seg = warehouse::warehouse_path_for(p);
+  store::ResultLog log(p, perfi_meta());
+  for (std::uint64_t id = 0; id < 10; ++id) log.append(id, perfi_payload(id));
+
+  const auto first = warehouse::refresh_segment({p}, seg, /*only_if_stale=*/true);
+  ASSERT_TRUE(first.has_value());  // no segment yet: built
+  EXPECT_EQ(first->rows, 10u);
+
+  // Pin the source's mtime before the segment's: trusted, not reopened —
+  // unless the caller refreshes unconditionally (gpfd's /v1/query).
+  for (std::uint64_t id = 10; id < 15; ++id) log.append(id, perfi_payload(id));
+  const auto seg_t = std::filesystem::last_write_time(seg);
+  std::filesystem::last_write_time(p, seg_t - std::chrono::seconds(1));
+  EXPECT_FALSE(warehouse::refresh_segment({p}, seg, true).has_value());
+  EXPECT_EQ(warehouse::read_footer(seg).rows, 10u);
+  const auto forced = warehouse::refresh_segment({p}, seg);
+  ASSERT_TRUE(forced.has_value());
+  EXPECT_EQ(forced->fresh_records, 5u);
+  EXPECT_EQ(warehouse::read_footer(seg).rows, 15u);
+
+  // A source newer than the segment is stale: refreshed incrementally.
+  log.append(15, perfi_payload(15));
+  std::filesystem::last_write_time(
+      p, std::filesystem::last_write_time(seg) + std::chrono::seconds(1));
+  const auto stale = warehouse::refresh_segment({p}, seg, true);
+  ASSERT_TRUE(stale.has_value());
+  EXPECT_TRUE(stale->incremental);
+  EXPECT_EQ(stale->rows, 16u);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // Flag parsing and campaign construction shared by the gpfctl and gpfd
 // command-line tools: --key value parsing, the campaign-flag -> CampaignMeta
-// builders, and the canonical store-file naming scheme.
+// builders, the canonical store-file naming scheme, and end-of-campaign
+// warehouse compaction.
 #pragma once
 
 #include <cstdint>
+#include <exception>
+#include <iostream>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -17,6 +20,7 @@
 #include "report/gate_experiments.hpp"
 #include "rtl/campaign.hpp"
 #include "store/result_log.hpp"
+#include "warehouse/compact.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpfcli {
@@ -58,9 +62,17 @@ struct Args {
     const auto it = flags.find(key);
     return it == flags.end() ? def : it->second;
   }
+  /// The flag's value as an unsigned integer (GPF_* knob grammar, see
+  /// gpf::parse_u64), or `def` when absent. Throws UsageError naming the
+  /// flag on anything else ("5x", "-1", "abc", "").
   std::uint64_t get_u64(const std::string& key, std::uint64_t def) const {
     const auto it = flags.find(key);
-    return it == flags.end() ? def : std::stoull(it->second, nullptr, 0);
+    if (it == flags.end()) return def;
+    unsigned long long v = 0;
+    if (!gpf::parse_u64(it->second.c_str(), v))
+      throw UsageError("--" + key + " needs an unsigned integer, got '" +
+                       it->second + "'");
+    return v;
   }
   bool has(const std::string& key) const { return flags.count(key) != 0; }
 };
@@ -200,6 +212,26 @@ inline void apply_jobs_flag(const Args& a) {
   if (a.has("jobs"))
     gpf::set_campaign_threads_override(
         static_cast<std::size_t>(a.get_u64("jobs", 0)));
+}
+
+/// End-of-campaign warehouse compaction for `gpfctl run`/`resume` and gpfd's
+/// exit: brings the .gpfw segment beside the store up to date
+/// (warehouse::refresh_segment) so queries answer without a log scan.
+/// Gated by GPF_WAREHOUSE; a failure warns instead of failing the campaign
+/// (the log is the source of truth, the segment is derived). `tool` tags
+/// the log lines ("gpfctl", "gpfd").
+inline void compact_campaign_store(const std::string& store_path,
+                                   const char* tool) {
+  if (!gpf::warehouse_enabled()) return;
+  try {
+    const std::string seg = gpf::warehouse::warehouse_path_for(store_path);
+    const auto st = gpf::warehouse::refresh_segment({store_path}, seg);
+    std::cout << "[" << tool << "] warehouse: " << st->rows << " rows -> "
+              << seg << (st->incremental ? " (incremental)" : "") << "\n";
+  } catch (const std::exception& e) {
+    std::cerr << "[" << tool << "] warehouse compaction failed: " << e.what()
+              << "\n";
+  }
 }
 
 }  // namespace gpfcli

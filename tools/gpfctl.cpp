@@ -112,22 +112,6 @@ std::uint64_t owned_ids(const store::CampaignMeta& m) {
          (m.shard_index < m.total % m.shard_count ? 1 : 0);
 }
 
-/// End-of-campaign warehouse compaction: keeps the .gpfw segment beside the
-/// store current so `gpfctl query` answers without a log scan. Gated by
-/// GPF_WAREHOUSE; a failure warns instead of failing the campaign (the log
-/// is the source of truth, the segment is derived).
-void compact_campaign_store(const std::string& store_path) {
-  if (!warehouse_enabled()) return;
-  try {
-    const std::string seg = warehouse::warehouse_path_for(store_path);
-    const warehouse::CompactStats st = warehouse::compact_stores({store_path}, seg);
-    std::cout << "[gpfctl] warehouse: " << st.rows << " rows -> " << seg
-              << (st.incremental ? " (incremental)" : "") << "\n";
-  } catch (const std::exception& e) {
-    std::cerr << "[gpfctl] warehouse compaction failed: " << e.what() << "\n";
-  }
-}
-
 /// Drops the end-of-campaign metrics next to the store(s) we just drove.
 void write_campaign_metrics(const std::string& store_path) {
   const std::filesystem::path dir =
@@ -247,7 +231,7 @@ int cmd_run(const Args& a) {
               << meta.shard_count << ", id space " << meta.total << ")\n";
     store::CampaignCheckpoint ckpt(path, meta);
     drive_campaign(ckpt, limit);
-    compact_campaign_store(path);
+    gpfcli::compact_campaign_store(path, "gpfctl");
     last_path = path;
   }
   if (!last_path.empty()) write_campaign_metrics(last_path);
@@ -346,7 +330,7 @@ int cmd_resume(const Args& a) {
       std::cout << "[gpfctl] " << path << ": dropped "
                 << ckpt.torn_bytes_dropped() << " torn tail bytes\n";
     drive_campaign(ckpt, limit);
-    compact_campaign_store(path);
+    gpfcli::compact_campaign_store(path, "gpfctl");
   }
   if (!a.positional.empty()) write_campaign_metrics(a.positional.back());
   obs::flush_trace();
@@ -561,16 +545,9 @@ int cmd_query(const Args& a) {
                    "--unit TARGET");
     sources = groups.front();
     seg = segment_path_for_group(sources);
-    // Refresh the segment when missing or older than any source log. The
-    // mtime check is a cheap staleness heuristic; the compaction itself is
-    // incremental either way.
-    bool stale = !std::filesystem::exists(seg);
-    if (!stale) {
-      const auto seg_t = std::filesystem::last_write_time(seg);
-      for (const std::string& s : sources)
-        if (std::filesystem::last_write_time(s) > seg_t) stale = true;
-    }
-    if (stale) warehouse::compact_stores(sources, seg);
+    // Refresh the segment when missing or older than any source log (a
+    // cheap mtime check; the refresh itself is incremental either way).
+    warehouse::refresh_segment(sources, seg, /*only_if_stale=*/true);
   }
 
   const warehouse::Footer footer = warehouse::read_footer(seg);

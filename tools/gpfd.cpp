@@ -19,7 +19,12 @@
 //                        as separate campaigns)
 //   gpfd --resume FILE [FILE...]  (campaign identities from store headers)
 //     common: [--addr HOST:PORT] [--lease-ms N] [--unit-size N]
-//             [--priority N] [--store DIR] [--verbose]
+//             [--priority N] [--store DIR] [--http HOST:PORT] [--verbose]
+//
+// gpfd is one thread: the coordinator's epoll loop serves the workers and,
+// with --http, the JSON endpoints too. /v1/query refreshes the campaign's
+// warehouse segment on demand, and every store is compacted once more at
+// exit.
 //
 // SIGTERM/SIGINT drain gracefully: no new leases are granted, outstanding
 // leases finish (or expire), and the process exits with the stores intact
@@ -28,17 +33,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <iostream>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
-
 #include <filesystem>
+#include <iostream>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "campaign_flags.hpp"
 #include "common/env.hpp"
@@ -51,8 +51,6 @@
 #include "store/checkpoint.hpp"
 #include "store/export.hpp"
 #include "store/result_log.hpp"
-#include "warehouse/compact.hpp"
-#include "warehouse/query.hpp"
 
 using namespace gpf;
 using gpfcli::Args;
@@ -79,108 +77,9 @@ int usage(const char* msg = nullptr) {
       "    common: [--addr HOST:PORT] [--lease-ms N] [--unit-size N]\n"
       "            [--priority N] [--seed S] [--store DIR] [--shard-index I]\n"
       "            [--shard-count K] [--status-ms N] [--verbose]\n"
-      "            [--http HOST:PORT] [--compact-ms N]\n"
+      "            [--http HOST:PORT]\n"
       "    more campaigns can be added while serving: gpfctl submit\n";
   return 2;
-}
-
-/// Per-store warehouse compactors, kept in step with the coordinator's live
-/// registry so remotely submitted campaigns get segments too. Thread-safe
-/// (refresh timer thread vs the HTTP handler).
-class CompactorSet {
- public:
-  /// Adds compactors for any new paths and refreshes every store's segment.
-  void refresh(const std::vector<std::string>& paths) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& path : paths)
-      if (!compactors_.count(path))
-        compactors_.emplace(path, std::make_unique<warehouse::Compactor>(
-                                      std::vector<std::string>{path},
-                                      warehouse::warehouse_path_for(path)));
-    for (auto& [path, c] : compactors_) {
-      try {
-        c->refresh();
-      } catch (const std::exception& e) {
-        std::cerr << "[gpfd] compaction " << path << ": " << e.what() << "\n";
-      }
-    }
-  }
-
-  /// The compactor for a campaign name ("" = the only one, if unambiguous).
-  warehouse::Compactor* find(const std::string& campaign) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (campaign.empty())
-      return compactors_.size() == 1 ? compactors_.begin()->second.get()
-                                     : nullptr;
-    for (auto& [path, c] : compactors_) {
-      const std::string stem =
-          std::filesystem::path(path).stem().string();
-      if (stem == campaign) return c.get();
-    }
-    return nullptr;
-  }
-
-  std::vector<std::pair<std::string, std::string>> segment_rows() {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::pair<std::string, std::string>> rows;
-    for (auto& [path, c] : compactors_)
-      rows.emplace_back(path, c->segment_path());
-    return rows;
-  }
-
-  std::size_t size() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return compactors_.size();
-  }
-
- private:
-  std::mutex mu_;
-  std::map<std::string, std::unique_ptr<warehouse::Compactor>> compactors_;
-};
-
-/// Routes gpfd's observability endpoints: /v1/stats (live coordinator view,
-/// ?campaign= scopes it), /v1/campaigns (the registry), and /v1/query
-/// (warehouse rollups; ?metric=epr|classes|syndromes|workers,
-/// ?format=json|csv|table, ?campaign= picks the store when several run).
-net::HttpResponse handle_http(const net::HttpRequest& req,
-                              net::Coordinator& coordinator,
-                              CompactorSet* compactors) {
-  const auto campaign_param = [&req]() -> std::string {
-    const auto it = req.params.find("campaign");
-    return it == req.params.end() ? "" : it->second;
-  };
-  if (req.path == "/v1/stats")
-    return {200, "application/json",
-            net::stats_json(coordinator.snapshot_stats(campaign_param()))};
-  if (req.path == "/v1/campaigns")
-    return {200, "application/json",
-            net::campaigns_json(coordinator.list_campaigns())};
-  if (req.path == "/v1/query") {
-    if (!compactors)
-      return {404, "application/json",
-              "{\"error\": \"warehouse disabled (GPF_WAREHOUSE=0)\"}\n"};
-    warehouse::Compactor* compactor = compactors->find(campaign_param());
-    if (!compactor)
-      return {400, "application/json",
-              "{\"error\": \"ambiguous or unknown campaign; pass "
-              "?campaign=NAME\"}\n"};
-    warehouse::Metric metric = warehouse::Metric::Epr;
-    warehouse::QueryFormat format = warehouse::QueryFormat::Json;
-    const auto m = req.params.find("metric");
-    if (m != req.params.end() && !warehouse::parse_metric(m->second, metric))
-      return {400, "application/json",
-              "{\"error\": \"unknown metric; expected "
-              "epr|classes|syndromes|workers\"}\n"};
-    const auto f = req.params.find("format");
-    if (f != req.params.end() && !warehouse::parse_format(f->second, format))
-      return {400, "application/json",
-              "{\"error\": \"unknown format; expected json|csv|table\"}\n"};
-    return {200,
-            format == warehouse::QueryFormat::Json ? "application/json"
-                                                   : "text/plain",
-            render_metric(compactor->footer(), metric, format)};
-  }
-  return {404, "application/json", "{\"error\": \"no such endpoint\"}\n"};
 }
 
 }  // namespace
@@ -259,42 +158,15 @@ int main(int argc, char** argv) {
       std::cout << "[gpfd]   " << paths[i] << " (" << ckpts[i]->done().size()
                 << "/" << metas[i].total << " already retired)\n";
 
-    // Warehouse compaction: roll every store into its .gpfw segment now,
-    // then keep them fresh on a timer while serving, picking up remotely
-    // submitted campaigns from the live registry (--compact-ms 0 = at exit
-    // only).
-    std::unique_ptr<CompactorSet> compactors;
-    if (warehouse_enabled()) compactors = std::make_unique<CompactorSet>();
-    const auto compact_ms = static_cast<std::uint32_t>(
-        a.get_u64("compact-ms", compact_interval_ms()));
-    std::atomic<bool> serve_done{false};
-    std::thread compact_thread;
-    if (compactors) {
-      compactors->refresh(coordinator.store_paths());
-      if (compact_ms > 0)
-        compact_thread = std::thread([&] {
-          while (!serve_done.load(std::memory_order_relaxed)) {
-            for (std::uint32_t waited = 0;
-                 waited < compact_ms &&
-                 !serve_done.load(std::memory_order_relaxed);
-                 waited += 50)
-              std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            if (serve_done.load(std::memory_order_relaxed)) break;
-            compactors->refresh(coordinator.store_paths());
-          }
-        });
-    }
-
-    // HTTP observability endpoint (off unless --http / GPF_HTTP_ADDR).
-    std::unique_ptr<net::HttpServer> http;
+    // HTTP observability endpoint (off unless --http / GPF_HTTP_ADDR),
+    // served from the coordinator's own event loop.
     const std::string http_bind = a.get("http", http_addr());
     if (!http_bind.empty()) {
-      http = std::make_unique<net::HttpServer>(
-          http_bind, [&coordinator, &compactors](const net::HttpRequest& req) {
-            return handle_http(req, coordinator, compactors.get());
+      const std::uint16_t http_port = coordinator.listen_http(
+          http_bind, [&coordinator](const net::HttpRequest& req) {
+            return net::gpfd_route(req, coordinator);
           });
-      http->start();
-      std::cout << "[gpfd] http on " << http_bind << " (port " << http->port()
+      std::cout << "[gpfd] http on " << http_bind << " (port " << http_port
                 << "): GET /v1/stats, /v1/campaigns, /v1/query\n";
     }
 
@@ -304,14 +176,8 @@ int main(int argc, char** argv) {
       st = coordinator.serve();
     }
     g_coordinator.store(nullptr);
-    serve_done.store(true);
-    if (compact_thread.joinable()) compact_thread.join();
-    if (compactors) {
-      compactors->refresh(coordinator.store_paths());
-      for (const auto& [path, segment] : compactors->segment_rows())
-        std::cout << "[gpfd] warehouse: " << path << " -> " << segment << "\n";
-    }
-    if (http) http->stop();
+    for (const std::string& p : coordinator.store_paths())
+      gpfcli::compact_campaign_store(p, "gpfd");
 
     std::cout << "[gpfd] " << (st.drained ? "drained" : "complete") << ": "
               << st.appended << " results appended (" << st.duplicates
