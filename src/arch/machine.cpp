@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/bitops.hpp"
+#include "obs/metrics.hpp"
 
 namespace gpf::arch {
 
@@ -14,6 +15,9 @@ using isa::Op;
 
 namespace {
 constexpr unsigned kPhysRegsPerThread = 64;  // physical register window per thread
+constexpr std::size_t kRegWindow = std::size_t{kPhysRegsPerThread} * kWarpSize;  // per warp
+static_assert((kPhysRegsPerThread & (kPhysRegsPerThread - 1)) == 0 &&
+              (kWarpSize & (kWarpSize - 1)) == 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -90,17 +94,29 @@ void Gpu::reserve_global(std::size_t addr, std::size_t words) {
   if (words == 0) return;
   if (addr + words > global_.size())
     throw std::out_of_range("reserve_global out of bounds");
-  // Merge with an existing adjacent/overlapping segment when possible.
-  for (auto& [base, size] : segments_) {
-    if (addr <= base + size && base <= addr + words) {
-      const std::size_t lo = std::min(base, addr);
-      const std::size_t hi = std::max(base + size, addr + words);
-      base = lo;
-      size = hi - lo;
-      return;
+  // Absorb every segment the range overlaps or touches. Segments stay
+  // disjoint and apart, so one pass finds them all; the merged segment takes
+  // the place of the first.
+  std::size_t lo = addr, hi = addr + words;
+  auto merged = segments_.end();
+  for (auto it = segments_.begin(); it != segments_.end();) {
+    const auto [base, size] = *it;
+    if (lo > base + size || base > hi) {
+      ++it;
+      continue;
+    }
+    lo = std::min(lo, base);
+    hi = std::max(hi, base + size);
+    if (merged == segments_.end()) {
+      merged = it++;
+    } else {
+      it = segments_.erase(it);
     }
   }
-  segments_.emplace_back(addr, words);
+  if (merged == segments_.end())
+    segments_.emplace_back(lo, hi - lo);
+  else
+    *merged = {lo, hi - lo};
 }
 
 bool Gpu::global_addr_valid(std::uint64_t addr) const {
@@ -124,14 +140,32 @@ void Gpu::clear_memories() {
   segments_.clear();
 }
 
+Gpu::MemoryImage Gpu::save_memory() const {
+  MemoryImage image;
+  image.segments = segments_;
+  for (const auto& [base, size] : segments_)
+    image.words.insert(image.words.end(), global_.begin() + static_cast<std::ptrdiff_t>(base),
+                       global_.begin() + static_cast<std::ptrdiff_t>(base + size));
+  return image;
+}
+
+void Gpu::restore_memory(const MemoryImage& image) {
+  for (const auto& [base, size] : segments_)
+    std::fill_n(global_.begin() + static_cast<std::ptrdiff_t>(base), size, 0u);
+  segments_ = image.segments;
+  auto src = image.words.begin();
+  for (const auto& [base, size] : segments_) {
+    std::copy_n(src, size, global_.begin() + static_cast<std::ptrdiff_t>(base));
+    src += static_cast<std::ptrdiff_t>(size);
+  }
+}
+
 std::uint32_t& Gpu::reg_at(unsigned sm, unsigned ppb, unsigned slot, unsigned lane,
                            unsigned reg) {
-  Ppb& p = sms_[sm].ppbs[ppb];
-  const std::size_t idx =
-      (static_cast<std::size_t>(slot) * kPhysRegsPerThread + (reg % kPhysRegsPerThread)) *
-          kWarpSize +
-      (lane % kWarpSize);
-  return p.regfile[idx % p.regfile.size()];
+  const std::size_t idx = static_cast<std::size_t>(slot) * kRegWindow +
+                          (reg & (kPhysRegsPerThread - 1)) * kWarpSize +
+                          (lane & (kWarpSize - 1));
+  return sms_[sm].ppbs[ppb].regfile[idx];
 }
 
 void Gpu::raise_trap(TrapKind kind, std::uint32_t pc) {
@@ -182,10 +216,13 @@ void Gpu::init_cta(unsigned sm_i, unsigned cta_x, unsigned cta_y) {
     warp.exist_mask = mask;
     warp.stack.assign(1, SimtEntry{0, kNoReconv, mask});
 
-    // Zero the warp's register window for run-to-run determinism.
-    for (unsigned r = 0; r < kPhysRegsPerThread; ++r)
-      for (unsigned lane = 0; lane < kWarpSize; ++lane)
-        reg_at(sm_i, ppb_i, slot, lane, r) = 0;
+    // Zero the warp's register and local-memory windows: a launch never
+    // sees what an earlier launch or injection left there.
+    std::fill_n(ppb.regfile.begin() + static_cast<std::ptrdiff_t>(slot * kRegWindow),
+                kRegWindow, 0u);
+    const std::size_t local_window = kWarpSize * cfg_.local_words_per_thread;
+    std::fill_n(ppb.local.begin() + static_cast<std::ptrdiff_t>(slot * local_window),
+                local_window, 0u);
   }
 }
 
@@ -549,6 +586,73 @@ std::uint32_t Gpu::special_value(const ExecCtx& ctx, unsigned lane,
 }
 
 // ---------------------------------------------------------------------------
+// Livelock cut
+// ---------------------------------------------------------------------------
+
+bool Gpu::livelock_cut_applies() const {
+  return (!hooks_ || hooks_->cycle_invariant()) && !exec_ && !segments_.empty();
+}
+
+// Calls fn(words, count) for the launch state's bulk memory, in a fixed
+// order: the register windows of valid warps (registers at or above
+// regs_per_thread trap on access, so only those below count), their
+// local-memory windows, then the registered global segments (kernels can
+// reach no other global word, and constant memory is read-only).
+template <class Fn>
+void Gpu::for_each_state_window(Fn&& fn) const {
+  auto valid_warp_windows = [&](std::vector<std::uint32_t> Ppb::*mem, std::size_t stride,
+                                std::size_t n) {
+    for (const Sm& sm : sms_)
+      for (const Ppb& ppb : sm.ppbs)
+        for (std::size_t slot = 0; slot < ppb.warps.size(); ++slot)
+          if (ppb.warps[slot].valid) fn((ppb.*mem).data() + slot * stride, n);
+  };
+  const std::size_t local_window = kWarpSize * cfg_.local_words_per_thread;
+  valid_warp_windows(&Ppb::regfile, kRegWindow, std::size_t{prog_->regs_per_thread} * kWarpSize);
+  valid_warp_windows(&Ppb::local, local_window, local_window);
+  for (const auto& [base, size] : segments_) fn(global_.data() + base, size);
+}
+
+void Gpu::capture(LaunchState& s, unsigned next_cta) const {
+  s.next_cta = next_cta;
+  s.rr_next.clear();
+  s.warps.clear();
+  for (const Sm& sm : sms_)
+    for (const Ppb& ppb : sm.ppbs) {
+      s.rr_next.push_back(ppb.rr_next);
+      s.warps.insert(s.warps.end(), ppb.warps.begin(), ppb.warps.end());
+    }
+  s.ctas.resize(sms_.size());
+  for (std::size_t i = 0; i < sms_.size(); ++i) s.ctas[i] = sms_[i].cta;
+  s.words.clear();
+  for_each_state_window([&](const std::uint32_t* p, std::size_t n) {
+    s.words.insert(s.words.end(), p, p + n);
+  });
+}
+
+bool Gpu::matches(const LaunchState& s, unsigned next_cta) const {
+  if (next_cta != s.next_cta) return false;
+  std::size_t p = 0, k = 0;
+  for (const Sm& sm : sms_)
+    for (const Ppb& ppb : sm.ppbs) {
+      if (ppb.rr_next != s.rr_next[p++]) return false;
+      for (const Warp& w : ppb.warps)
+        if (!(w == s.warps[k++])) return false;
+    }
+  for (std::size_t i = 0; i < sms_.size(); ++i)
+    if (!(sms_[i].cta == s.ctas[i])) return false;
+  // The valid warps matched, so the windows line up with s.words.
+  bool same = true;
+  std::size_t off = 0;
+  for_each_state_window([&](const std::uint32_t* w, std::size_t n) {
+    same = same && off + n <= s.words.size() &&
+           std::equal(w, w + n, s.words.begin() + static_cast<std::ptrdiff_t>(off));
+    off += n;
+  });
+  return same && off == s.words.size();
+}
+
+// ---------------------------------------------------------------------------
 // Launch loop
 // ---------------------------------------------------------------------------
 
@@ -587,6 +691,14 @@ LaunchResult Gpu::launch(const isa::Program& prog, Dim3 grid, Dim3 block,
   const std::uint64_t budget = max_cycles ? max_cycles : cfg_.watchdog_cycles;
   const unsigned total_ctas = grid.x * grid.y;
   unsigned next_cta = 0;
+
+  // Livelock cut (Brent): checkpoint the state at kLivelockStart, then at
+  // doubling intervals; compare every cycle in between.
+  bool cut = livelock_cut_applies();
+  bool have_checkpoint = false;
+  std::uint64_t next_checkpoint = kLivelockStart, interval = 64;
+  LaunchResult at_checkpoint;
+  std::uint64_t checkpoint_cycle = 0;
 
   for (;;) {
     // Retire finished CTAs and dispatch pending ones.
@@ -627,6 +739,33 @@ LaunchResult Gpu::launch(const isa::Program& prog, Dim3 grid, Dim3 block,
       res.cycles = cycle_;
       prog_ = nullptr;
       return res;
+    }
+
+    if (!cut || cycle_ < kLivelockStart) continue;
+    if (have_checkpoint && matches(checkpoint_, next_cta)) {
+      // The state repeats with this period, and no period so far trapped or
+      // finished: the launch can only end at the watchdog, after the cycles
+      // cycle_..budget. Skip whole periods of them, adding each period's
+      // issues, but leave at least one: the loop simulates the rest and
+      // ends exactly where the plain path would.
+      static obs::Counter& cuts = obs::counter("arch.livelocks_cut");
+      static obs::Counter& skipped = obs::counter("arch.cycles_skipped");
+      const std::uint64_t period = cycle_ - checkpoint_cycle;
+      const std::uint64_t periods = (budget - cycle_) / period;
+      res.instructions += periods * (res.instructions - at_checkpoint.instructions);
+      for (std::size_t u = 0; u < res.unit_issues.size(); ++u)
+        res.unit_issues[u] += periods * (res.unit_issues[u] - at_checkpoint.unit_issues[u]);
+      cycle_ += periods * period;
+      cuts.add();
+      skipped.add(periods * period);
+      cut = false;
+    } else if (cycle_ == next_checkpoint) {
+      capture(checkpoint_, next_cta);
+      have_checkpoint = true;
+      at_checkpoint = res;
+      checkpoint_cycle = cycle_;
+      next_checkpoint = cycle_ + interval;
+      interval *= 2;
     }
   }
 

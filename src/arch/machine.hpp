@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "arch/exec.hpp"
@@ -26,6 +27,8 @@ struct SimtEntry {
   std::uint32_t pc = 0;
   std::uint32_t reconv_pc = kNoReconv;
   std::uint32_t mask = 0;
+
+  bool operator==(const SimtEntry&) const = default;
 };
 
 /// Resident warp state (one scheduler slot).
@@ -44,6 +47,8 @@ struct Warp {
   std::uint32_t active_mask() const { return stack.empty() ? 0 : stack.back().mask; }
   std::uint32_t pc() const { return stack.empty() ? 0 : stack.back().pc; }
   bool ready() const { return valid && !done && !at_barrier && !stack.empty(); }
+
+  bool operator==(const Warp&) const = default;
 };
 
 class Gpu;
@@ -107,6 +112,11 @@ class MachineHooks {
   /// Instruction-level instrumentation (PERfi's error functions).
   virtual void pre_execute(ExecCtx&) {}
   virtual void post_execute(ExecCtx&) {}
+  /// True when the hook's effect depends only on the machine state: not on
+  /// the cycle count, and not on state it carries from one issue to the
+  /// next. Gpu::launch may then cut a provably periodic livelock short (see
+  /// Gpu::launch); hooks that keep the default get the plain watchdog.
+  virtual bool cycle_invariant() const { return false; }
 };
 
 /// CTA (thread block) resident on an SM.
@@ -115,6 +125,8 @@ struct CtaState {
   unsigned cta_x = 0, cta_y = 0;
   unsigned expected_warps = 0;  ///< barrier releases only when ALL arrive
   std::vector<std::uint32_t> shared;
+
+  bool operator==(const CtaState&) const = default;
 };
 
 /// A parallel processing block: warp slots + register file + local memory.
@@ -145,6 +157,22 @@ class Gpu {
   std::vector<float> read_global_f(std::size_t addr, std::size_t n) const;
   void clear_memories();
 
+  /// What a kernel can change in memory: the registered global segments and
+  /// their words (constant memory is read-only to kernels).
+  struct MemoryImage {
+    std::vector<std::pair<std::size_t, std::size_t>> segments;  // (base, words)
+    std::vector<std::uint32_t> words;  ///< segment contents, in segment order
+  };
+  MemoryImage save_memory() const;
+  /// Puts back an image saved from this Gpu: zeroes every segment registered
+  /// since, then restores the image's segments and words. Kernels only write
+  /// inside registered segments, so after clear_memories() + setup +
+  /// save_memory(), restoring equals a fresh clear_memories() + setup word
+  /// for word as long as the host writes only through write_global* /
+  /// reserve_global. An image with no segments (bare-metal mode) cannot
+  /// bound what kernels wrote; callers clear and set up again instead.
+  void restore_memory(const MemoryImage& image);
+
   /// Allocation map: like CUDA allocations, only registered segments are
   /// addressable by kernels; anything else raises IllegalAddress. With no
   /// segments registered the whole global memory is valid (bare-metal mode,
@@ -159,6 +187,15 @@ class Gpu {
   // -- execution -----------------------------------------------------------
   /// Run a kernel to completion (or trap). `max_cycles` of 0 uses the config
   /// watchdog.
+  ///
+  /// Livelock cut: with no hooks or cycle-invariant ones, the builtin exec
+  /// unit and registered segments, the next launch state is a function of
+  /// the current one. Past kLivelockStart cycles the launch takes Brent
+  /// checkpoints of that state at doubling intervals; when the state equals
+  /// the checkpoint it repeats forever, so the launch skips the whole
+  /// periods left before the watchdog and simulates only the remainder. The
+  /// result (Watchdog, cycles, instructions, unit issues) equals the plain
+  /// path's exactly.
   LaunchResult launch(const isa::Program& prog, Dim3 grid, Dim3 block,
                       std::uint64_t max_cycles = 0);
 
@@ -168,8 +205,13 @@ class Gpu {
   const isa::Program* running_program() const { return prog_; }
   std::uint64_t cycle() const { return cycle_; }
 
+  /// Register (reg mod 64, lane mod 32) of warp `slot`, which must be below
+  /// config().max_warps_per_ppb.
   std::uint32_t& reg_at(unsigned sm, unsigned ppb, unsigned slot, unsigned lane,
                         unsigned reg);
+
+  /// Cycle of a launch from which the livelock cut checkpoints (see launch).
+  static constexpr std::uint64_t kLivelockStart = 2048;
 
   /// Raise a trap from hook code (aborts the current launch).
   void raise_trap(TrapKind kind, std::uint32_t pc);
@@ -193,6 +235,26 @@ class Gpu {
   std::uint32_t special_value(const ExecCtx& ctx, unsigned lane,
                               std::uint8_t sr) const;
 
+  /// Everything the next cycle of a launch reads, for the livelock cut:
+  /// dispatch progress, scheduler pointers, warps, CTAs (with shared
+  /// memory), then in `words` the live register and local-memory windows
+  /// (those of valid warps) and the registered global segments. Buffers are
+  /// reused across launches.
+  struct LaunchState {
+    unsigned next_cta = 0;
+    std::vector<unsigned> rr_next;
+    std::vector<Warp> warps;
+    std::vector<CtaState> ctas;
+    std::vector<std::uint32_t> words;
+  };
+  bool livelock_cut_applies() const;
+  template <class Fn>
+  void for_each_state_window(Fn&& fn) const;
+  void capture(LaunchState& s, unsigned next_cta) const;
+  /// True when capture(t, next_cta) would give a t equal to `s`; compares in
+  /// place, cheapest fields first, and stops at the first difference.
+  bool matches(const LaunchState& s, unsigned next_cta) const;
+
   GpuConfig cfg_;
   std::vector<std::uint32_t> global_;
   std::vector<std::uint32_t> const_;
@@ -208,6 +270,7 @@ class Gpu {
   std::uint64_t cycle_ = 0;
   TrapKind trap_ = TrapKind::None;
   std::uint32_t trap_pc_ = 0;
+  LaunchState checkpoint_;
 };
 
 }  // namespace gpf::arch

@@ -33,6 +33,7 @@ void EprCell::merge(const EprCell& other) {
 AppInjectionRunner::AppInjectionRunner(const workloads::Workload& w) : w_(w) {
   gpu_.clear_memories();
   w_.setup(gpu_);
+  image_ = gpu_.save_memory();
   const workloads::RunStats stats = w_.run(gpu_);
   if (!stats.ok)
     throw std::runtime_error("golden run failed for " + std::string(w.name()));
@@ -47,17 +48,17 @@ AppInjectionRunner::AppInjectionRunner(const workloads::Workload& w) : w_(w) {
 
 AppOutcome AppInjectionRunner::inject(const errmodel::ErrorDescriptor& desc) {
   ErrorInjector injector(desc);
-  gpu_.clear_memories();
-  w_.setup(gpu_);
+  if (image_.segments.empty()) {  // bare-metal app: kernels may write anywhere
+    gpu_.clear_memories();
+    w_.setup(gpu_);
+  } else {
+    gpu_.restore_memory(image_);
+  }
   gpu_.set_hooks(&injector);
-  const workloads::RunStats stats = w_.run(gpu_, budget_);
+  last_stats_ = w_.run(gpu_, budget_);
   gpu_.set_hooks(nullptr);
 
-  if (!stats.ok) {
-    last_trap_ = stats.trap;
-    return AppOutcome::DUE;
-  }
-  last_trap_ = arch::TrapKind::None;
+  if (!last_stats_.ok) return AppOutcome::DUE;
   const workloads::OutputSpec spec = w_.output();
   const bool equal = std::equal(
       golden_.begin(), golden_.end(),

@@ -42,23 +42,28 @@ struct EprCell {
   }
 };
 
-/// Prepares an application for repeated instrumented runs (golden output and
-/// cycle budget computed once).
+/// Prepares an application for repeated instrumented runs (golden output,
+/// cycle budget and the post-setup memory image computed once).
 class AppInjectionRunner {
  public:
   explicit AppInjectionRunner(const workloads::Workload& w);
 
   AppOutcome inject(const errmodel::ErrorDescriptor& desc);
-  arch::TrapKind last_trap() const { return last_trap_; }
+  arch::TrapKind last_trap() const { return last_stats_.trap; }
+  /// Launch totals of the last injection's run.
+  const workloads::RunStats& last_stats() const { return last_stats_; }
   std::uint64_t golden_cycles() const { return golden_cycles_; }
+  /// Per-launch hang budget of every injection.
+  std::uint64_t budget() const { return budget_; }
 
  private:
   const workloads::Workload& w_;
   arch::Gpu gpu_;
+  arch::Gpu::MemoryImage image_;  ///< memory right after setup()
   std::vector<std::uint32_t> golden_;
   std::uint64_t budget_ = 0;
   std::uint64_t golden_cycles_ = 0;
-  arch::TrapKind last_trap_ = arch::TrapKind::None;
+  workloads::RunStats last_stats_;
 };
 
 /// Inject `n` random descriptors of one model into one application.

@@ -34,6 +34,9 @@ class ErrorInjector final : public arch::MachineHooks {
 
   void pre_execute(arch::ExecCtx& ctx) override;
   void post_execute(arch::ExecCtx& ctx) override;
+  /// The corruption depends on the descriptor and the issuing instruction
+  /// only; saved_ lives from one issue's pre_execute to its post_execute.
+  bool cycle_invariant() const override { return true; }
 
  private:
   bool targets(const arch::ExecCtx& ctx) const;

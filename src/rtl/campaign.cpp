@@ -227,6 +227,7 @@ Injector::Injector(Target target) : target_(std::move(target)) {
   // Golden run (fault-free, on the same execution backend as the campaign).
   arch::SoftExec soft;
   target_.setup(gpu_);
+  image_ = gpu_.save_memory();
   gpu_.set_exec(target_.use_soft_exec ? &soft : nullptr);
   if (!target_.run(gpu_, 0)) throw std::runtime_error("golden RTL run failed");
   gpu_.set_exec(nullptr);
@@ -267,7 +268,10 @@ InjectionResult Injector::inject(const FaultSpec& fault) {
       break;
   }
 
-  target_.setup(gpu_);
+  if (image_.segments.empty())  // bare-metal target: kernels may write anywhere
+    target_.setup(gpu_);
+  else
+    gpu_.restore_memory(image_);
   gpu_.set_hooks(hooks);
   gpu_.set_exec(exec);
   const bool ok = target_.run(gpu_, budget_);

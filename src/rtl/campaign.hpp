@@ -92,6 +92,7 @@ class Injector {
  private:
   Target target_;
   arch::Gpu gpu_;
+  arch::Gpu::MemoryImage image_;  ///< memory right after target_.setup
   std::vector<std::uint32_t> golden_;
   std::uint64_t budget_ = 0;
 };

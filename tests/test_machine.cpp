@@ -5,6 +5,7 @@
 
 #include "arch/machine.hpp"
 #include "isa/builder.hpp"
+#include "obs/metrics.hpp"
 
 namespace gpf::arch {
 namespace {
@@ -357,6 +358,193 @@ TEST(Machine, UnitIssueCountsTracked) {
   EXPECT_GT(res.unit_issues[static_cast<unsigned>(isa::UnitClass::FP32)], 0u);
   EXPECT_GT(res.unit_issues[static_cast<unsigned>(isa::UnitClass::MEM)], 0u);
   EXPECT_GT(res.unit_issues[static_cast<unsigned>(isa::UnitClass::INT)], 0u);
+}
+
+TEST(Machine, LocalMemoryZeroedBetweenLaunches) {
+  // A launch must not read what an earlier launch left in local memory.
+  KernelBuilder kb("local-write");
+  auto tid = kb.reg();
+  auto v = kb.reg();
+  kb.s2r(tid, SpecialReg::TID_X);
+  kb.iaddi(v, tid, 1);
+  kb.st(MemSpace::Local, KernelBuilder::RZ, 5, v);
+  const isa::Program write = kb.build();
+
+  KernelBuilder kb2("local-read");
+  auto tid2 = kb2.reg();
+  auto v2 = kb2.reg();
+  kb2.s2r(tid2, SpecialReg::TID_X);
+  kb2.ld(v2, MemSpace::Local, KernelBuilder::RZ, 5);
+  kb2.stg(tid2, 0, v2);
+  const isa::Program read = kb2.build();
+
+  Gpu gpu;
+  gpu.write_global(0, std::vector<std::uint32_t>(64, 0xDEADu));
+  ASSERT_TRUE(gpu.launch(write, {1, 1, 1}, {64, 1, 1}).ok);
+  ASSERT_TRUE(gpu.launch(read, {1, 1, 1}, {64, 1, 1}).ok);
+  for (unsigned t = 0; t < 64; ++t) EXPECT_EQ(gpu.global()[t], 0u) << t;
+}
+
+TEST(Machine, ReserveGlobalCoalescesTransitively) {
+  Gpu gpu;
+  gpu.reserve_global(0, 10);
+  gpu.reserve_global(20, 10);
+  gpu.reserve_global(5, 20);  // bridges both
+  const Gpu::MemoryImage image = gpu.save_memory();
+  ASSERT_EQ(image.segments.size(), 1u);
+  EXPECT_EQ(image.segments[0], (std::pair<std::size_t, std::size_t>{0, 30}));
+  EXPECT_EQ(image.words.size(), 30u);
+  EXPECT_TRUE(gpu.global_addr_valid(29));
+  EXPECT_FALSE(gpu.global_addr_valid(30));
+
+  gpu.reserve_global(40, 5);
+  gpu.reserve_global(30, 10);  // touches [0,30) and [40,45) end to end
+  EXPECT_EQ(gpu.save_memory().segments,
+            (std::vector<std::pair<std::size_t, std::size_t>>{{0, 45}}));
+}
+
+TEST(Machine, MemoryImageRestoresPostSetupState) {
+  const isa::Program prog = vecadd_kernel(0, 1024, 2048, 64);
+  auto setup = [](Gpu& g) {
+    g.clear_memories();
+    g.write_global_f(0, std::vector<float>(64, 1.5f));
+    g.write_global_f(1024, std::vector<float>(64, 2.25f));
+    g.reserve_global(2048, 64);
+  };
+  Gpu gpu;
+  setup(gpu);
+  const Gpu::MemoryImage image = gpu.save_memory();
+  ASSERT_TRUE(gpu.launch(prog, {1, 1, 1}, {64, 1, 1}).ok);
+  gpu.write_global(4096, std::vector<std::uint32_t>(8, 7u));  // a segment added later
+  gpu.restore_memory(image);
+
+  Gpu fresh;
+  setup(fresh);
+  EXPECT_EQ(gpu.global(), fresh.global());
+  EXPECT_FALSE(gpu.global_addr_valid(4096));
+  EXPECT_EQ(gpu.save_memory().segments, image.segments);
+}
+
+// A hook that changes nothing but keeps the default cycle_invariant(): the
+// launch runs the plain watchdog path.
+class PlainHooks final : public MachineHooks {};
+
+void expect_same_result(const LaunchResult& a, const LaunchResult& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.trap, b.trap);
+  EXPECT_EQ(a.trap_pc, b.trap_pc);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.unit_issues, b.unit_issues);
+}
+
+/// Two warps, divergent: the even lanes (on top of the SIMT stack) toggle
+/// global[lane] forever; the odd lanes wait below. The state repeats.
+isa::Program periodic_spin() {
+  KernelBuilder kb("periodic");
+  auto lane = kb.reg();
+  auto bit = kb.reg();
+  auto v = kb.reg();
+  auto p = kb.pred();
+  kb.s2r(lane, SpecialReg::LANEID);
+  kb.landi(bit, lane, 1);
+  kb.isetpi(p, Cmp::EQ, bit, 0);
+  auto odd = kb.label();
+  auto even = kb.label();
+  kb.bra(even, p, false);
+  kb.place(odd);
+  kb.iaddi(v, bit, 0);
+  kb.bra(odd);
+  kb.place(even);
+  kb.ldg(v, lane);
+  kb.lnot(v, v);
+  kb.stg(lane, 0, v);
+  kb.bra(even);
+  return kb.build();
+}
+
+TEST(Machine, PeriodicLivelockCutMatchesWatchdog) {
+  obs::Counter& cuts = obs::counter("arch.livelocks_cut");
+  obs::Counter& skipped = obs::counter("arch.cycles_skipped");
+  const isa::Program prog = periodic_spin();
+  for (const std::uint64_t budget : {49'999ull, 50'000ull, 50'001ull, 123'457ull}) {
+    Gpu cut_gpu, plain_gpu;
+    cut_gpu.reserve_global(0, 64);
+    plain_gpu.reserve_global(0, 64);
+    PlainHooks plain;
+    plain_gpu.set_hooks(&plain);
+
+    const std::uint64_t cuts0 = cuts.value(), skipped0 = skipped.value();
+    const LaunchResult got = cut_gpu.launch(prog, {1, 1, 1}, {64, 1, 1}, budget);
+    EXPECT_EQ(cuts.value(), cuts0 + 1) << budget;
+    EXPECT_GT(skipped.value(), skipped0 + budget / 2) << budget;
+
+    const std::uint64_t plain0 = cuts.value();
+    const LaunchResult want = plain_gpu.launch(prog, {1, 1, 1}, {64, 1, 1}, budget);
+    EXPECT_EQ(cuts.value(), plain0) << budget;
+
+    EXPECT_EQ(want.trap, TrapKind::Watchdog);
+    EXPECT_EQ(want.cycles, budget + 1);
+    expect_same_result(got, want);
+    EXPECT_EQ(cut_gpu.global(), plain_gpu.global()) << budget;
+  }
+}
+
+TEST(Machine, BarrierDeadlockWithSegmentsIsCutExactly) {
+  // Warp 1 waits at a barrier warp 0 never reaches: the state is constant.
+  KernelBuilder kb("deadlock");
+  auto tid = kb.reg();
+  auto wid = kb.reg();
+  auto p = kb.pred();
+  kb.s2r(tid, SpecialReg::TID_X);
+  kb.shr(wid, tid, 5);
+  kb.isetpi(p, Cmp::EQ, wid, 0);
+  kb.on(p, true).bar();
+  const isa::Program prog = kb.build();
+  Gpu cut_gpu, plain_gpu;
+  cut_gpu.reserve_global(0, 4);
+  plain_gpu.reserve_global(0, 4);
+  PlainHooks plain;
+  plain_gpu.set_hooks(&plain);
+  const LaunchResult got = cut_gpu.launch(prog, {3, 1, 1}, {64, 1, 1}, 30'000);
+  const LaunchResult want = plain_gpu.launch(prog, {3, 1, 1}, {64, 1, 1}, 30'000);
+  EXPECT_EQ(want.trap, TrapKind::Watchdog);
+  expect_same_result(got, want);
+}
+
+TEST(Machine, NonPeriodicSpinRunsToWatchdog) {
+  // A counter kept only in memory (the register is cleared every trip, so
+  // warps and registers repeat) never repeats: no cut, plain verdict. One
+  // kernel per memory space the launch state must cover.
+  obs::Counter& cuts = obs::counter("arch.livelocks_cut");
+  for (const MemSpace space : {MemSpace::Global, MemSpace::Shared, MemSpace::Local}) {
+    KernelBuilder kb("counter");
+    kb.set_shared_words(4);
+    auto v = kb.reg();
+    auto head = kb.label();
+    kb.place(head);
+    kb.ld(v, space, KernelBuilder::RZ, 1);
+    kb.iaddi(v, v, 1);
+    kb.st(space, KernelBuilder::RZ, 1, v);
+    kb.movi(v, 0);
+    kb.bra(head);
+    const isa::Program prog = kb.build();
+
+    const std::uint64_t cuts0 = cuts.value();
+    const std::uint64_t budget = 8 * Gpu::kLivelockStart;
+    Gpu gpu, plain_gpu;
+    gpu.reserve_global(0, 2);
+    plain_gpu.reserve_global(0, 2);
+    PlainHooks plain;
+    plain_gpu.set_hooks(&plain);
+    const LaunchResult got = gpu.launch(prog, {1, 1, 1}, {32, 1, 1}, budget);
+    EXPECT_EQ(cuts.value(), cuts0) << static_cast<int>(space);
+    const LaunchResult want = plain_gpu.launch(prog, {1, 1, 1}, {32, 1, 1}, budget);
+    EXPECT_EQ(got.trap, TrapKind::Watchdog);
+    EXPECT_EQ(got.cycles, budget + 1);
+    expect_same_result(got, want);
+    EXPECT_EQ(gpu.global()[1], plain_gpu.global()[1]);
+  }
 }
 
 }  // namespace

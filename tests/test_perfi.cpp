@@ -2,6 +2,7 @@
 // integration: each model must produce its architecturally-specified effect.
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "perfi/campaign.hpp"
 #include "perfi/injector.hpp"
 #include "workloads/workload.hpp"
@@ -172,6 +173,101 @@ TEST(Descriptor, RandomDescriptorsRespectModelShape) {
     EXPECT_NE(d.thread_mask, 0u);
     EXPECT_LE(std::popcount(d.thread_mask), 4);
   }
+}
+
+/// Forwards every hook to `inner` but keeps the default cycle_invariant():
+/// launches run the plain watchdog path.
+class PlainForward final : public arch::MachineHooks {
+ public:
+  explicit PlainForward(arch::MachineHooks& inner) : in_(inner) {}
+  void on_launch_begin(arch::Gpu& g, const isa::Program& p) override {
+    in_.on_launch_begin(g, p);
+  }
+  void pre_cycle(arch::Gpu& g, unsigned sm, unsigned ppb) override {
+    in_.pre_cycle(g, sm, ppb);
+  }
+  int post_select(arch::Gpu& g, unsigned sm, unsigned ppb, int slot) override {
+    return in_.post_select(g, sm, ppb, slot);
+  }
+  std::uint32_t post_fetch_pc(arch::Gpu& g, unsigned sm, unsigned ppb, unsigned slot,
+                              std::uint32_t pc) override {
+    return in_.post_fetch_pc(g, sm, ppb, slot, pc);
+  }
+  std::uint64_t post_fetch_word(arch::Gpu& g, unsigned sm, unsigned ppb, unsigned slot,
+                                std::uint64_t word) override {
+    return in_.post_fetch_word(g, sm, ppb, slot, word);
+  }
+  void post_decode(arch::Gpu& g, unsigned sm, unsigned ppb, isa::Instruction& in,
+                   bool& ok) override {
+    in_.post_decode(g, sm, ppb, in, ok);
+  }
+  void pre_execute(arch::ExecCtx& ctx) override { in_.pre_execute(ctx); }
+  void post_execute(arch::ExecCtx& ctx) override { in_.post_execute(ctx); }
+
+ private:
+  arch::MachineHooks& in_;
+};
+
+TEST(Campaign, FastInjectionEqualsFreshPlainRun) {
+  // The memory image and the livelock cut must not change any outcome: for
+  // every app and software model, AppInjectionRunner agrees with a fresh
+  // clear_memories() + setup() run on the plain watchdog path, down to the
+  // launch counts of hangs.
+  obs::Counter& cuts = obs::counter("arch.livelocks_cut");
+  const std::uint64_t cuts0 = cuts.value();
+  std::size_t hangs = 0;
+  for (const workloads::Workload* w : workloads::evaluation_set()) {
+    AppInjectionRunner runner(*w);
+    arch::Gpu gpu;
+    const std::vector<std::uint32_t> golden = workloads::golden_output(*w, gpu);
+    const workloads::OutputSpec spec = w->output();
+    for (const ErrorModel model : software_models()) {
+      Rng rng(0x5EED ^ static_cast<std::uint64_t>(model));
+      for (int k = 0; k < 3; ++k) {
+        const ErrorDescriptor d = random_descriptor(model, rng);
+        const AppOutcome got = runner.inject(d);
+
+        ErrorInjector injector(d);
+        PlainForward plain(injector);
+        gpu.clear_memories();
+        w->setup(gpu);
+        gpu.set_hooks(&plain);
+        const workloads::RunStats want = w->run(gpu, runner.budget());
+        gpu.set_hooks(nullptr);
+        AppOutcome want_out = AppOutcome::DUE;
+        if (want.ok)
+          want_out = std::equal(golden.begin(), golden.end(),
+                                gpu.global().begin() + static_cast<std::ptrdiff_t>(spec.addr))
+                         ? AppOutcome::Masked
+                         : AppOutcome::SDC;
+
+        const std::string where = std::string(w->name()) + " x " +
+                                  std::string(errmodel::name_of(model)) + " #" +
+                                  std::to_string(k);
+        const workloads::RunStats& have = runner.last_stats();
+        EXPECT_EQ(got, want_out) << where;
+        EXPECT_EQ(runner.last_trap(), want.trap) << where;
+        EXPECT_EQ(have.ok, want.ok) << where;
+        EXPECT_EQ(have.cycles, want.cycles) << where;
+        EXPECT_EQ(have.instructions, want.instructions) << where;
+        EXPECT_EQ(have.launches, want.launches) << where;
+        EXPECT_EQ(have.unit_issues, want.unit_issues) << where;
+        hangs += want.trap == arch::TrapKind::Watchdog;
+      }
+    }
+  }
+  EXPECT_GT(hangs, 0u);
+  EXPECT_GT(cuts.value(), cuts0);
+}
+
+TEST(Campaign, BfsIalHangsAreCut) {
+  obs::Counter& cuts = obs::counter("arch.livelocks_cut");
+  obs::Counter& skipped = obs::counter("arch.cycles_skipped");
+  const std::uint64_t cuts0 = cuts.value(), skipped0 = skipped.value();
+  const EprCell cell = run_epr_cell(app("bfs"), ErrorModel::IAL, 10, 12648430);
+  EXPECT_GT(cell.due_hang, 0u);
+  EXPECT_GT(cuts.value(), cuts0);
+  EXPECT_GT(skipped.value(), skipped0);
 }
 
 }  // namespace
