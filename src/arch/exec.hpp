@@ -12,12 +12,20 @@
 
 namespace gpf::arch {
 
+/// One 32-bit value per lane of a warp: a register row of the register file.
+using LaneRow = std::array<std::uint32_t, kWarpSize>;
+
 class ExecUnit {
  public:
   virtual ~ExecUnit() = default;
   /// Evaluate a (non-memory, non-control) operation for one lane.
   virtual std::uint32_t alu(isa::Op op, std::uint32_t a, std::uint32_t b,
                             std::uint32_t c, unsigned lane) = 0;
+  /// Evaluate the operation for every lane in `mask`; out[l] = alu(op, a[l],
+  /// b[l], c[l], l) there. Lanes outside `mask` may hold anything. The base
+  /// calls alu lane by lane, so per-lane fault overlays stay exact.
+  virtual void alu_warp(isa::Op op, const LaneRow& a, const LaneRow& b, const LaneRow& c,
+                        LaneRow& out, std::uint32_t mask);
 };
 
 /// Host-arithmetic backend (bitwise-compatible with SoftExec for normal-range
@@ -26,6 +34,9 @@ class FastExec final : public ExecUnit {
  public:
   std::uint32_t alu(isa::Op op, std::uint32_t a, std::uint32_t b, std::uint32_t c,
                     unsigned lane) override;
+  /// One switch per call, then a plain loop over all 32 lanes.
+  void alu_warp(isa::Op op, const LaneRow& a, const LaneRow& b, const LaneRow& c,
+                LaneRow& out, std::uint32_t mask) override;
 };
 
 /// Bit-accurate backend with stuck-at overlays. A fault set can be installed

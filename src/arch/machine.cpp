@@ -1,7 +1,10 @@
 #include "arch/machine.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -18,7 +21,52 @@ constexpr unsigned kPhysRegsPerThread = 64;  // physical register window per thr
 constexpr std::size_t kRegWindow = std::size_t{kPhysRegsPerThread} * kWarpSize;  // per warp
 static_assert((kPhysRegsPerThread & (kPhysRegsPerThread - 1)) == 0 &&
               (kWarpSize & (kWarpSize - 1)) == 0);
+
+/// The lanes for which a SETP op's comparison of a and b holds.
+std::uint32_t compare_warp(Op op, const LaneRow& a, const LaneRow& b) {
+  std::uint32_t set = 0;
+  auto each = [&](auto holds) {
+    for (unsigned lane = 0; lane < kWarpSize; ++lane)
+      set |= static_cast<std::uint32_t>(holds(a[lane], b[lane])) << lane;
+  };
+  using U = std::uint32_t;
+  if (isa::is_float(op)) {
+    auto f = [](U v) { return bits_f32(v); };
+    switch (isa::cmp_of(op)) {
+      case isa::Cmp::LT: each([&](U x, U y) { return f(x) < f(y); }); break;
+      case isa::Cmp::LE: each([&](U x, U y) { return f(x) <= f(y); }); break;
+      case isa::Cmp::GT: each([&](U x, U y) { return f(x) > f(y); }); break;
+      case isa::Cmp::GE: each([&](U x, U y) { return f(x) >= f(y); }); break;
+      case isa::Cmp::EQ: each([&](U x, U y) { return f(x) == f(y); }); break;
+      default: each([&](U x, U y) { return f(x) != f(y); }); break;
+    }
+  } else {
+    auto i = [](U v) { return static_cast<std::int32_t>(v); };
+    switch (isa::cmp_of(op)) {
+      case isa::Cmp::LT: each([&](U x, U y) { return i(x) < i(y); }); break;
+      case isa::Cmp::LE: each([&](U x, U y) { return i(x) <= i(y); }); break;
+      case isa::Cmp::GT: each([&](U x, U y) { return i(x) > i(y); }); break;
+      case isa::Cmp::GE: each([&](U x, U y) { return i(x) >= i(y); }); break;
+      case isa::Cmp::EQ: each([&](U x, U y) { return x == y; }); break;
+      case isa::Cmp::LTU: each([&](U x, U y) { return x < y; }); break;
+      case isa::Cmp::GEU: each([&](U x, U y) { return x >= y; }); break;
+      default: each([&](U x, U y) { return x != y; }); break;
+    }
+  }
+  return set;
 }
+
+/// Per-launch totals, added once per launch (a cut launch adds the totals it
+/// extrapolated).
+void count_launch(const LaunchResult& res) {
+  static obs::Counter& launches = obs::counter("arch.launches");
+  static obs::Counter& instructions = obs::counter("arch.instructions");
+  static obs::Counter& cycles = obs::counter("arch.cycles");
+  launches.add();
+  instructions.add(res.instructions);
+  cycles.add(res.cycles);
+}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ExecCtx register/predicate accessors
@@ -56,11 +104,38 @@ void ExecCtx::write_pred(unsigned lane, std::uint8_t p, bool v) {
 }
 
 // ---------------------------------------------------------------------------
+// GlobalMemory
+// ---------------------------------------------------------------------------
+
+GlobalMemory::GlobalMemory(std::size_t words) : size_(words) {
+  if (words == 0) return;
+  void* p = mmap(nullptr, words * sizeof(std::uint32_t), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  // Kernels touch a few scattered pages; a huge page would zero 2 MB for each.
+  madvise(p, words * sizeof(std::uint32_t), MADV_NOHUGEPAGE);
+  words_ = static_cast<std::uint32_t*>(p);
+}
+
+GlobalMemory::~GlobalMemory() {
+  if (words_) munmap(words_, size_ * sizeof(std::uint32_t));
+}
+
+void GlobalMemory::clear() {
+  // Dropping the pages of a private anonymous mapping makes them read zero.
+  if (words_ && madvise(words_, size_ * sizeof(std::uint32_t), MADV_DONTNEED) != 0)
+    std::memset(words_, 0, size_ * sizeof(std::uint32_t));
+}
+
+bool operator==(const GlobalMemory& a, const GlobalMemory& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+// ---------------------------------------------------------------------------
 // Gpu
 // ---------------------------------------------------------------------------
 
-Gpu::Gpu(GpuConfig cfg) : cfg_(cfg) {
-  global_.assign(cfg_.global_words, 0);
+Gpu::Gpu(GpuConfig cfg) : cfg_(cfg), global_(cfg.global_words) {
   const_.assign(cfg_.const_words, 0);
   sms_.resize(cfg_.num_sms);
   for (Sm& sm : sms_) {
@@ -135,7 +210,7 @@ std::vector<float> Gpu::read_global_f(std::size_t addr, std::size_t n) const {
 }
 
 void Gpu::clear_memories() {
-  std::fill(global_.begin(), global_.end(), 0u);
+  global_.clear();
   std::fill(const_.begin(), const_.end(), 0u);
   segments_.clear();
 }
@@ -311,12 +386,17 @@ bool Gpu::step_ppb(unsigned sm_i, unsigned ppb_i, LaunchResult& res) {
   }
 
   ExecCtx ctx(*this, sm_i, ppb_i, w, pc, dec.instr);
-  std::uint32_t guard = 0;
-  const std::uint32_t active = w.active_mask();
-  for (unsigned lane = 0; lane < kWarpSize; ++lane)
-    if ((active >> lane) & 1)
-      if (lane_guard(w, ctx.instr, lane)) guard |= 1u << lane;
-  ctx.exec_mask = guard;
+  // Guard: PT passes every active lane (and !PT none); Pn those whose bit n
+  // is set (or clear, negated).
+  const isa::Instruction& in = ctx.instr;
+  std::uint32_t guard = in.guard_neg ? 0u : ~0u;
+  if (in.guard_pred < isa::kNumPredicates) {
+    std::uint32_t set = 0;
+    for (unsigned lane = 0; lane < kWarpSize; ++lane)
+      set |= static_cast<std::uint32_t>((w.preds[lane] >> in.guard_pred) & 1) << lane;
+    guard = in.guard_neg ? ~set : set;
+  }
+  ctx.exec_mask = w.active_mask() & guard;
 
   if (hooks_) hooks_->pre_execute(ctx);
   if (!ctx.skip) execute(ctx);
@@ -329,12 +409,6 @@ bool Gpu::step_ppb(unsigned sm_i, unsigned ppb_i, LaunchResult& res) {
   ++res.instructions;
   ++res.unit_issues[static_cast<unsigned>(isa::unit_of(ctx.instr.op))];
   return true;
-}
-
-bool Gpu::lane_guard(const Warp& w, const Instruction& in, unsigned lane) const {
-  if (in.guard_pred >= isa::kNumPredicates) return !in.guard_neg ? true : false;
-  const bool p = (w.preds[lane] >> in.guard_pred) & 1;
-  return p != in.guard_neg;
 }
 
 void Gpu::execute(ExecCtx& ctx) {
@@ -394,97 +468,135 @@ void Gpu::execute(ExecCtx& ctx) {
       w.stack.back().pc = pc + 1;
       return;
     default:
-      execute_lanes(ctx);
+      execute_warp(ctx);
       if (ctx.pending_trap == TrapKind::None) w.stack.back().pc = pc + 1;
       return;
   }
 }
 
-void Gpu::execute_lanes(ExecCtx& ctx) {
+// One issue of a non-control instruction for every lane in exec_mask. The
+// per-lane model this replaces visited the lanes in order and trapped at the
+// first failing one; the same outcome follows from checking once:
+//  - a register index is the same in every lane, so a bad one (>=
+//    regs_per_thread, not RZ) traps InvalidRegister before any lane writes;
+//  - an illegal address is per lane, so LD and ST still walk the lanes in
+//    order: the lanes below the first illegal one have loaded or stored.
+void Gpu::execute_warp(ExecCtx& ctx) {
   const Instruction& in = ctx.instr;
-  ExecUnit& unit = exec_ ? *exec_ : builtin_exec_;
+  const std::uint32_t mask = ctx.exec_mask;
+  if (mask == 0 || ctx.pending_trap != TrapKind::None) return;
 
-  for (unsigned lane = 0; lane < kWarpSize && ctx.pending_trap == TrapKind::None;
-       ++lane) {
-    if (!((ctx.exec_mask >> lane) & 1)) continue;
+  const unsigned regs = prog_->regs_per_thread;
+  auto bad = [regs](std::uint8_t r) { return r != isa::kRZ && r >= regs; };
+  std::uint32_t* const file = sms_[ctx.sm_id].ppbs[ctx.ppb_id].regfile.data() +
+                              static_cast<std::size_t>(ctx.warp_.slot) * kRegWindow;
+  // Valid only for a register that is neither bad nor RZ.
+  auto row = [file](std::uint8_t r) { return file + std::size_t{r} * kWarpSize; };
+  // A source row: the immediate, zeros for RZ (or a bad register, which
+  // reads 0 where it does not trap first), else a copy of the register.
+  auto operand = [&](LaneRow& dst, std::uint8_t r, bool from_imm) {
+    if (from_imm)
+      dst.fill(in.imm);
+    else if (r == isa::kRZ || bad(r))
+      dst.fill(0);
+    else
+      std::memcpy(dst.data(), row(r), sizeof(LaneRow));
+  };
+  auto merge = [&](std::uint8_t rd, const LaneRow& v) {
+    if (rd == isa::kRZ) return;
+    std::uint32_t* d = row(rd);
+    for (unsigned lane = 0; lane < kWarpSize; ++lane)
+      d[lane] = (mask >> lane) & 1 ? v[lane] : d[lane];
+  };
+  auto trap_if = [&](bool any_bad) {
+    if (any_bad) ctx.pending_trap = TrapKind::InvalidRegister;
+    return any_bad;
+  };
+  LaneRow a{}, b{}, c{}, out{};
 
-    switch (in.op) {
-      case Op::MOV: {
-        const std::uint32_t v = in.use_imm ? in.imm : ctx.read_reg(lane, in.rs1);
-        ctx.write_reg(lane, in.rd, v);
-        break;
-      }
-      case Op::SEL: {
-        const std::uint32_t a = ctx.read_reg(lane, in.rs1);
-        const std::uint32_t b = in.use_imm ? in.imm : ctx.read_reg(lane, in.rs2);
-        ctx.write_reg(lane, in.rd, ctx.read_pred(lane, in.rs3) ? a : b);
-        break;
-      }
-      case Op::S2R:
-        ctx.write_reg(lane, in.rd, special_value(ctx, lane, in.rs1));
-        break;
-      case Op::LD: {
-        const std::uint64_t base = ctx.read_reg(lane, in.rs1);
-        const std::uint64_t off = in.use_imm ? in.imm : ctx.read_reg(lane, in.rs2);
-        const std::uint32_t v = mem_read(ctx, in.space, lane, base + off);
-        if (ctx.pending_trap == TrapKind::None) ctx.write_reg(lane, in.rd, v);
-        break;
-      }
-      case Op::ST: {
-        const std::uint64_t base = ctx.read_reg(lane, in.rs1);
-        const std::uint64_t off = in.use_imm ? in.imm : ctx.read_reg(lane, in.rs2);
-        const std::uint32_t data = ctx.read_reg(lane, in.rd);
-        if (ctx.pending_trap == TrapKind::None)
-          mem_write(ctx, in.space, lane, base + off, data);
-        break;
-      }
-      default: {
-        const int srcs = isa::num_sources(in.op);
-        std::uint32_t a = 0, b = 0, c = 0;
-        if (srcs >= 1) a = ctx.read_reg(lane, in.rs1);
-        if (srcs >= 2)
-          b = (in.use_imm && srcs == 2) ? in.imm : ctx.read_reg(lane, in.rs2);
-        if (srcs >= 3)
-          c = (in.use_imm && srcs == 3) ? in.imm : ctx.read_reg(lane, in.rs3);
-        if (srcs == 1 && in.use_imm) a = in.imm;
-        if (ctx.pending_trap != TrapKind::None) break;
-
-        if (isa::writes_predicate(in.op)) {
-          const isa::Cmp cmp = isa::cmp_of(in.op);
-          bool r;
-          if (isa::is_float(in.op)) {
-            const float fa = bits_f32(a), fb = bits_f32(b);
-            switch (cmp) {
-              case isa::Cmp::LT: r = fa < fb; break;
-              case isa::Cmp::LE: r = fa <= fb; break;
-              case isa::Cmp::GT: r = fa > fb; break;
-              case isa::Cmp::GE: r = fa >= fb; break;
-              case isa::Cmp::EQ: r = fa == fb; break;
-              default: r = fa != fb; break;
-            }
-          } else {
-            const auto sa = static_cast<std::int32_t>(a);
-            const auto sb = static_cast<std::int32_t>(b);
-            switch (cmp) {
-              case isa::Cmp::LT: r = sa < sb; break;
-              case isa::Cmp::LE: r = sa <= sb; break;
-              case isa::Cmp::GT: r = sa > sb; break;
-              case isa::Cmp::GE: r = sa >= sb; break;
-              case isa::Cmp::EQ: r = sa == sb; break;
-              case isa::Cmp::LTU: r = a < b; break;
-              case isa::Cmp::GEU: r = a >= b; break;
-              default: r = sa != sb; break;
-            }
-          }
-          ctx.write_pred(lane, in.rd, r);
-        } else {
-          const std::uint32_t v = unit.alu(in.op, a, b, c, lane);
-          if (isa::writes_register(in.op)) ctx.write_reg(lane, in.rd, v);
-        }
-        break;
-      }
+  switch (in.op) {
+    case Op::MOV:
+      if (trap_if((!in.use_imm && bad(in.rs1)) || bad(in.rd))) return;
+      operand(a, in.rs1, in.use_imm);
+      merge(in.rd, a);
+      return;
+    case Op::SEL: {
+      if (trap_if(bad(in.rs1) || (!in.use_imm && bad(in.rs2)) || bad(in.rd))) return;
+      operand(a, in.rs1, false);
+      operand(b, in.rs2, in.use_imm);
+      for (unsigned lane = 0; lane < kWarpSize; ++lane)
+        out[lane] = ctx.read_pred(lane, in.rs3) ? a[lane] : b[lane];
+      merge(in.rd, out);
+      return;
     }
+    case Op::S2R:
+      if (trap_if(bad(in.rd))) return;
+      for (unsigned lane = 0; lane < kWarpSize; ++lane)
+        if ((mask >> lane) & 1) out[lane] = special_value(ctx, lane, in.rs1);
+      merge(in.rd, out);
+      return;
+    case Op::LD: {
+      // A bad source reads 0 and still forms an address: the first lane
+      // traps IllegalAddress if that address is illegal, InvalidRegister if
+      // not. A bad destination traps only once the first load succeeded.
+      const bool bad_reg = bad(in.rs1) || (!in.use_imm && bad(in.rs2)) || bad(in.rd);
+      operand(a, in.rs1, false);
+      operand(b, in.rs2, in.use_imm);
+      for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+        if (!((mask >> lane) & 1)) continue;
+        const std::uint32_t v =
+            mem_read(ctx, in.space, lane, std::uint64_t{a[lane]} + b[lane]);
+        if (ctx.pending_trap != TrapKind::None || trap_if(bad_reg)) return;
+        if (in.rd != isa::kRZ) row(in.rd)[lane] = v;
+      }
+      return;
+    }
+    case Op::ST: {
+      if (trap_if(bad(in.rs1) || (!in.use_imm && bad(in.rs2)) || bad(in.rd))) return;
+      operand(a, in.rs1, false);
+      operand(b, in.rs2, in.use_imm);
+      operand(c, in.rd, false);
+      for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+        if (!((mask >> lane) & 1)) continue;
+        mem_write(ctx, in.space, lane, std::uint64_t{a[lane]} + b[lane], c[lane]);
+        if (ctx.pending_trap != TrapKind::None) return;
+      }
+      return;
+    }
+    default:
+      break;
   }
+
+  // ALU, SFU and SETP ops. rs1 is read whenever the op has a source, even
+  // when an immediate replaces it.
+  const int srcs = isa::num_sources(in.op);
+  const bool sets_pred = isa::writes_predicate(in.op);
+  const bool sets_reg = !sets_pred && isa::writes_register(in.op);
+  const bool imm_b = in.use_imm && srcs == 2, imm_c = in.use_imm && srcs == 3;
+  if (trap_if((srcs >= 1 && bad(in.rs1)) || (srcs >= 2 && !imm_b && bad(in.rs2)) ||
+              (srcs >= 3 && !imm_c && bad(in.rs3)) || (sets_reg && bad(in.rd))))
+    return;
+  if (srcs >= 1) operand(a, in.rs1, srcs == 1 && in.use_imm);
+  if (srcs >= 2) operand(b, in.rs2, imm_b);
+  if (srcs >= 3) operand(c, in.rs3, imm_c);
+
+  if (sets_pred) {
+    const std::uint8_t p = in.rd & 0x7;
+    if (p >= isa::kNumPredicates) return;  // PT is not writable
+    const std::uint32_t set = compare_warp(in.op, a, b);
+    const auto bit = static_cast<std::uint8_t>(1u << p);
+    for (unsigned lane = 0; lane < kWarpSize; ++lane) {
+      if (!((mask >> lane) & 1)) continue;
+      std::uint8_t& preds = ctx.warp_.preds[lane];
+      preds = static_cast<std::uint8_t>((set >> lane) & 1 ? preds | bit : preds & ~bit);
+    }
+    return;
+  }
+  if (exec_)
+    exec_->alu_warp(in.op, a, b, c, out, mask);
+  else
+    builtin_exec_.alu_warp(in.op, a, b, c, out, mask);
+  if (sets_reg) merge(in.rd, out);
 }
 
 std::uint32_t Gpu::mem_read(ExecCtx& ctx, MemSpace space, unsigned lane,
@@ -726,6 +838,7 @@ LaunchResult Gpu::launch(const isa::Program& prog, Dim3 grid, Dim3 block,
           res.trap_pc = trap_pc_;
           res.cycles = cycle_;
           prog_ = nullptr;
+          count_launch(res);
           return res;
         }
       }
@@ -738,6 +851,7 @@ LaunchResult Gpu::launch(const isa::Program& prog, Dim3 grid, Dim3 block,
       res.trap_pc = 0;
       res.cycles = cycle_;
       prog_ = nullptr;
+      count_launch(res);
       return res;
     }
 
@@ -772,6 +886,7 @@ LaunchResult Gpu::launch(const isa::Program& prog, Dim3 grid, Dim3 block,
   res.ok = true;
   res.cycles = cycle_;
   prog_ = nullptr;
+  count_launch(res);
   return res;
 }
 

@@ -142,6 +142,37 @@ struct Sm {
   CtaState cta;
 };
 
+/// Global memory: zero-initialized words in an anonymous private mapping,
+/// so the pages no kernel or host write touches are never faulted in, and
+/// clear() hands the pages back instead of writing zeros. Indexes and
+/// iterates like a std::vector of words.
+class GlobalMemory {
+ public:
+  explicit GlobalMemory(std::size_t words);
+  ~GlobalMemory();
+  GlobalMemory(const GlobalMemory&) = delete;
+  GlobalMemory& operator=(const GlobalMemory&) = delete;
+
+  std::size_t size() const { return size_; }
+  std::uint32_t* data() { return words_; }
+  const std::uint32_t* data() const { return words_; }
+  std::uint32_t* begin() { return words_; }
+  std::uint32_t* end() { return words_ + size_; }
+  const std::uint32_t* begin() const { return words_; }
+  const std::uint32_t* end() const { return words_ + size_; }
+  std::uint32_t& operator[](std::size_t i) { return words_[i]; }
+  const std::uint32_t& operator[](std::size_t i) const { return words_[i]; }
+
+  /// Every word reads zero again.
+  void clear();
+
+  friend bool operator==(const GlobalMemory& a, const GlobalMemory& b);
+
+ private:
+  std::uint32_t* words_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 class Gpu {
  public:
   explicit Gpu(GpuConfig cfg = {});
@@ -149,8 +180,8 @@ class Gpu {
   const GpuConfig& config() const { return cfg_; }
 
   // -- memory ------------------------------------------------------------
-  std::vector<std::uint32_t>& global() { return global_; }
-  const std::vector<std::uint32_t>& global() const { return global_; }
+  GlobalMemory& global() { return global_; }
+  const GlobalMemory& global() const { return global_; }
   std::vector<std::uint32_t>& constm() { return const_; }
   void write_global(std::size_t addr, std::span<const std::uint32_t> data);
   void write_global_f(std::size_t addr, std::span<const float> data);
@@ -222,8 +253,7 @@ class Gpu {
   int select_warp(unsigned sm, unsigned ppb);
   bool step_ppb(unsigned sm, unsigned ppb, LaunchResult& res);
   void execute(ExecCtx& ctx);
-  void execute_lanes(ExecCtx& ctx);
-  bool lane_guard(const Warp& w, const isa::Instruction& in, unsigned lane) const;
+  void execute_warp(ExecCtx& ctx);
   void init_cta(unsigned sm, unsigned cta_x, unsigned cta_y);
   void release_barriers(unsigned sm);
   bool sm_idle(unsigned sm) const;
@@ -256,7 +286,7 @@ class Gpu {
   bool matches(const LaunchState& s, unsigned next_cta) const;
 
   GpuConfig cfg_;
-  std::vector<std::uint32_t> global_;
+  GlobalMemory global_;
   std::vector<std::uint32_t> const_;
   std::vector<std::pair<std::size_t, std::size_t>> segments_;  // (base, words)
   std::vector<Sm> sms_;

@@ -204,7 +204,6 @@ Target target_from_tmxm(workloads::TileType type, std::uint64_t value_seed) {
   constexpr std::uint32_t kA = 0, kB = 1024, kC = 2048;
   Target t;
   t.setup = [type, value_seed](arch::Gpu& gpu) {
-    gpu.clear_memories();
     gpu.write_global_f(kA, workloads::tmxm_input(type, value_seed, kN));
     gpu.write_global_f(kB, workloads::tmxm_input(type, value_seed + 7, kN));
     gpu.reserve_global(kC, kN * kN);
@@ -268,10 +267,12 @@ InjectionResult Injector::inject(const FaultSpec& fault) {
       break;
   }
 
-  if (image_.segments.empty())  // bare-metal target: kernels may write anywhere
+  if (image_.segments.empty()) {  // bare-metal target: kernels may write anywhere
+    gpu_.clear_memories();
     target_.setup(gpu_);
-  else
+  } else {
     gpu_.restore_memory(image_);
+  }
   gpu_.set_hooks(hooks);
   gpu_.set_exec(exec);
   const bool ok = target_.run(gpu_, budget_);

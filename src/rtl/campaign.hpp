@@ -68,6 +68,7 @@ struct AvfSummary {
 
 /// A fault-injection target: anything that can run once and expose an output.
 struct Target {
+  /// Writes the inputs; memory reads zero when it is called.
   std::function<void(arch::Gpu&)> setup;
   /// Runs every kernel; returns true when all completed without a trap.
   std::function<bool(arch::Gpu&, std::uint64_t max_cycles)> run;

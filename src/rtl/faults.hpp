@@ -92,6 +92,11 @@ class PipelineFaultHook final : public arch::MachineHooks {
   int post_select(arch::Gpu&, unsigned, unsigned, int slot) override;
   void pre_execute(arch::ExecCtx& ctx) override;
   void post_execute(arch::ExecCtx& ctx) override;
+  /// A permanent fault is active every cycle, and the operand save/restore
+  /// state lives within one issue: the effect depends on machine state only.
+  bool cycle_invariant() const override {
+    return timing_.mode == FaultTiming::Mode::Permanent;
+  }
 
  private:
   std::uint32_t stuck32(std::uint32_t v) const {
@@ -122,6 +127,10 @@ class SchedulerFaultHook final : public arch::MachineHooks {
   void pre_cycle(arch::Gpu& gpu, unsigned sm, unsigned ppb) override;
   int post_select(arch::Gpu&, unsigned, unsigned, int slot) override;
   void pre_execute(arch::ExecCtx& ctx) override;
+  /// A permanent stuck-at acts on the machine state alone.
+  bool cycle_invariant() const override {
+    return timing_.mode == FaultTiming::Mode::Permanent;
+  }
 
  private:
   SchedulerFault f_;

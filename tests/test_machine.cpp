@@ -4,8 +4,10 @@
 #include <numeric>
 
 #include "arch/machine.hpp"
+#include "common/bitops.hpp"
 #include "isa/builder.hpp"
 #include "obs/metrics.hpp"
+#include "softfloat/buses.hpp"
 
 namespace gpf::arch {
 namespace {
@@ -466,6 +468,8 @@ isa::Program periodic_spin() {
 TEST(Machine, PeriodicLivelockCutMatchesWatchdog) {
   obs::Counter& cuts = obs::counter("arch.livelocks_cut");
   obs::Counter& skipped = obs::counter("arch.cycles_skipped");
+  obs::Counter& instructions = obs::counter("arch.instructions");
+  obs::Counter& cycles = obs::counter("arch.cycles");
   const isa::Program prog = periodic_spin();
   for (const std::uint64_t budget : {49'999ull, 50'000ull, 50'001ull, 123'457ull}) {
     Gpu cut_gpu, plain_gpu;
@@ -475,9 +479,13 @@ TEST(Machine, PeriodicLivelockCutMatchesWatchdog) {
     plain_gpu.set_hooks(&plain);
 
     const std::uint64_t cuts0 = cuts.value(), skipped0 = skipped.value();
+    const std::uint64_t instr0 = instructions.value(), cycles0 = cycles.value();
     const LaunchResult got = cut_gpu.launch(prog, {1, 1, 1}, {64, 1, 1}, budget);
     EXPECT_EQ(cuts.value(), cuts0 + 1) << budget;
     EXPECT_GT(skipped.value(), skipped0 + budget / 2) << budget;
+    // A cut launch counts the totals it extrapolated.
+    EXPECT_EQ(instructions.value() - instr0, got.instructions) << budget;
+    EXPECT_EQ(cycles.value() - cycles0, got.cycles) << budget;
 
     const std::uint64_t plain0 = cuts.value();
     const LaunchResult want = plain_gpu.launch(prog, {1, 1, 1}, {64, 1, 1}, budget);
@@ -544,6 +552,197 @@ TEST(Machine, NonPeriodicSpinRunsToWatchdog) {
     EXPECT_EQ(got.cycles, budget + 1);
     expect_same_result(got, want);
     EXPECT_EQ(gpu.global()[1], plain_gpu.global()[1]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Trap order of one issue. The expected values follow the lane-by-lane
+// semantics: lanes in order, and the first lane that fails traps.
+// ---------------------------------------------------------------------------
+
+/// Sets the exec mask of the issue at `pc`.
+class MaskAt final : public MachineHooks {
+ public:
+  MaskAt(std::uint32_t pc, std::uint32_t mask) : pc_(pc), mask_(mask) {}
+  void pre_execute(ExecCtx& ctx) override {
+    if (ctx.pc == pc_) ctx.exec_mask = mask_;
+  }
+
+ private:
+  std::uint32_t pc_, mask_;
+};
+
+/// The builder's program with `in` placed just before its final EXIT.
+isa::Program with_last(KernelBuilder& kb, const isa::Instruction& in) {
+  isa::Program prog = kb.build();
+  prog.words.insert(prog.words.end() - 1, isa::encode(in));
+  return prog;
+}
+
+std::uint32_t last_pc(const isa::Program& prog) {
+  return static_cast<std::uint32_t>(prog.words.size() - 2);
+}
+
+/// Register `reg` of every lane of warp slot 0.
+std::vector<std::uint32_t> reg_row(Gpu& gpu, unsigned reg) {
+  std::vector<std::uint32_t> row(kWarpSize);
+  for (unsigned lane = 0; lane < kWarpSize; ++lane) row[lane] = gpu.reg_at(0, 0, 0, lane, reg);
+  return row;
+}
+
+std::vector<std::uint32_t> lane_ids(std::uint32_t plus = 0) {
+  std::vector<std::uint32_t> v(kWarpSize);
+  std::iota(v.begin(), v.end(), plus);
+  return v;
+}
+
+TEST(TrapOrder, StoreStoresTheLanesBelowTheFirstIllegalAddress) {
+  KernelBuilder kb("st_partial");
+  auto lane = kb.reg();
+  auto addr = kb.reg();
+  auto data = kb.reg();
+  auto p = kb.pred();
+  kb.s2r(lane, SpecialReg::LANEID);
+  kb.iaddi(addr, lane, 100);
+  kb.iaddi(data, lane, 1);
+  kb.isetpi(p, Cmp::EQ, lane, 5);
+  kb.on(p).movi(addr, 0x7FFFFFFF);  // only lane 5 is out of bounds
+  kb.stg(addr, 0, data);
+  const isa::Program prog = kb.build();
+  Gpu gpu;
+  gpu.reserve_global(100, kWarpSize);
+  const LaunchResult res = gpu.launch(prog, {1, 1, 1}, {32, 1, 1});
+  EXPECT_EQ(res.trap, TrapKind::IllegalAddress);
+  EXPECT_EQ(res.trap_pc, prog.words.size() - 2);
+  for (unsigned l = 0; l < kWarpSize; ++l)
+    EXPECT_EQ(gpu.global()[100 + l], l < 5 ? l + 1 : 0u) << l;
+}
+
+TEST(TrapOrder, LoadTrapKindAndNoRegisterWrite) {
+  // A bad source reads 0 and still forms an address; a bad destination is
+  // reached only once the load succeeded.
+  const std::uint32_t kIllegal = 0x7FFFFFFF;
+  struct Case {
+    std::uint32_t base;  // value of register 0
+    std::uint8_t rs1;    // 0, or 50: a bad register
+    std::uint8_t rd;     // 1, or 40: a bad register
+    std::uint32_t imm;   // offset added to the base
+    TrapKind want;
+  };
+  for (const Case c : {Case{kIllegal, 0, 40, 0, TrapKind::IllegalAddress},
+                       Case{0, 0, 40, 3, TrapKind::InvalidRegister},
+                       Case{kIllegal, 50, 1, 3, TrapKind::InvalidRegister},
+                       Case{0, 50, 1, kIllegal, TrapKind::IllegalAddress}}) {
+    KernelBuilder kb("ld_trap");
+    auto base = kb.reg();
+    auto dst = kb.reg();
+    kb.movi(base, c.base);
+    kb.movi(dst, 0xD00D);
+    const isa::Instruction ld{.op = isa::Op::LD, .rd = c.rd, .rs1 = c.rs1, .use_imm = true,
+                              .imm = c.imm};
+    const isa::Program prog = with_last(kb, ld);
+    Gpu gpu;
+    gpu.reserve_global(0, 8);
+    const LaunchResult res = gpu.launch(prog, {1, 1, 1}, {32, 1, 1});
+    const std::string where = "rs1=" + std::to_string(c.rs1) + " rd=" +
+                              std::to_string(c.rd) + " imm=" + std::to_string(c.imm);
+    EXPECT_EQ(res.trap, c.want) << where;
+    EXPECT_EQ(reg_row(gpu, base.idx), std::vector<std::uint32_t>(kWarpSize, c.base)) << where;
+    EXPECT_EQ(reg_row(gpu, dst.idx), std::vector<std::uint32_t>(kWarpSize, 0xD00D)) << where;
+    EXPECT_EQ(reg_row(gpu, 40), std::vector<std::uint32_t>(kWarpSize, 0)) << where;
+  }
+}
+
+TEST(TrapOrder, BadSourceTrapsBeforeAnyLaneWrites) {
+  KernelBuilder kb("bad_rs2");
+  auto dst = kb.reg();
+  auto x = kb.reg();
+  kb.movi(dst, 0x1234);
+  kb.movi(x, 5);
+  const isa::Instruction add{.op = isa::Op::IADD, .rd = dst.idx, .rs1 = x.idx, .rs2 = 50};
+  const isa::Program prog = with_last(kb, add);
+  Gpu gpu;
+  MaskAt first_lane_7(last_pc(prog), 0xFFFFFF80u);
+  gpu.set_hooks(&first_lane_7);
+  const LaunchResult res = gpu.launch(prog, {1, 1, 1}, {32, 1, 1});
+  EXPECT_EQ(res.trap, TrapKind::InvalidRegister);
+  EXPECT_EQ(res.trap_pc, last_pc(prog));
+  EXPECT_EQ(reg_row(gpu, dst.idx), std::vector<std::uint32_t>(kWarpSize, 0x1234));
+}
+
+TEST(TrapOrder, BadDestinationWritesNothing) {
+  KernelBuilder kb("bad_rd");
+  auto lane = kb.reg();
+  auto x = kb.reg();
+  kb.s2r(lane, SpecialReg::LANEID);
+  kb.movi(x, 5);
+  const isa::Instruction add{.op = isa::Op::IADD, .rd = 50, .rs1 = lane.idx, .rs2 = x.idx};
+  const isa::Program prog = with_last(kb, add);
+  Gpu gpu;
+  const LaunchResult res = gpu.launch(prog, {1, 1, 1}, {32, 1, 1});
+  EXPECT_EQ(res.trap, TrapKind::InvalidRegister);
+  EXPECT_EQ(reg_row(gpu, lane.idx), lane_ids());
+  EXPECT_EQ(reg_row(gpu, x.idx), std::vector<std::uint32_t>(kWarpSize, 5));
+  EXPECT_EQ(reg_row(gpu, 50), std::vector<std::uint32_t>(kWarpSize, 0));
+}
+
+TEST(TrapOrder, HookExecMaskDecidesTheWrittenLanes) {
+  KernelBuilder kb("widen");
+  auto r = kb.reg();
+  kb.movi(r, 42);
+  const isa::Program prog = kb.build();
+  // Eight threads: the active mask is 0xFF.
+  for (const std::uint32_t mask : {0xFFFFu, 0u}) {
+    Gpu gpu;
+    MaskAt hook(0, mask);
+    gpu.set_hooks(&hook);
+    ASSERT_TRUE(gpu.launch(prog, {1, 1, 1}, {8, 1, 1}).ok);
+    for (unsigned l = 0; l < kWarpSize; ++l)
+      EXPECT_EQ(gpu.reg_at(0, 0, 0, l, r.idx), (mask >> l) & 1 ? 42u : 0u) << mask << " " << l;
+  }
+  // A SETP writes the predicate of the exec-mask lanes only.
+  KernelBuilder setp("setp");
+  auto v = setp.reg();
+  auto p = setp.pred();
+  setp.isetpi(p, Cmp::EQ, v, 0);  // v is 0 in every lane
+  setp.on(p).movi(v, 42);
+  const isa::Program setp_prog = setp.build();
+  Gpu gpu;
+  MaskAt hook(0, 0xFF00u);
+  gpu.set_hooks(&hook);
+  ASSERT_TRUE(gpu.launch(setp_prog, {1, 1, 1}, {32, 1, 1}).ok);
+  for (unsigned l = 0; l < kWarpSize; ++l)
+    EXPECT_EQ(gpu.reg_at(0, 0, 0, l, v.idx), l >= 8 && l < 16 ? 42u : 0u) << l;
+}
+
+TEST(TrapOrder, SoftExecLaneFaultDiffersFromFastExecInThatLaneOnly) {
+  KernelBuilder kb("lane_fault");
+  auto lane = kb.reg();
+  auto v = kb.reg();
+  kb.s2r(lane, SpecialReg::LANEID);
+  kb.iaddi(v, lane, 1);
+  kb.iadd(v, v, v);
+  kb.stg(lane, 0, v);
+  const isa::Program prog = kb.build();
+  auto run = [&](ExecUnit* unit) {
+    Gpu gpu;
+    gpu.reserve_global(0, kWarpSize);
+    gpu.set_exec(unit);
+    EXPECT_TRUE(gpu.launch(prog, {1, 1, 1}, {32, 1, 1}).ok);
+    return std::vector<std::uint32_t>(gpu.global().begin(), gpu.global().begin() + kWarpSize);
+  };
+  const sf::BusFaultSet stuck(sf::BusFault{sf::Bus::Result, 20, true});
+  SoftExec soft;
+  soft.set_lane_fault(5, &stuck);
+  FastExec fast;
+  const std::vector<std::uint32_t> want = run(&fast), got = run(&soft);
+  EXPECT_EQ(want, run(nullptr));
+  for (unsigned l = 0; l < kWarpSize; ++l) {
+    EXPECT_EQ(want[l], 2 * (l + 1)) << l;
+    if (l == 5)
+      EXPECT_NE(got[l], want[l]);
+    else
+      EXPECT_EQ(got[l], want[l]) << l;
   }
 }
 

@@ -5,6 +5,7 @@
 #include "obs/metrics.hpp"
 #include "perfi/campaign.hpp"
 #include "perfi/injector.hpp"
+#include "plain_forward.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpf::perfi {
@@ -175,39 +176,6 @@ TEST(Descriptor, RandomDescriptorsRespectModelShape) {
   }
 }
 
-/// Forwards every hook to `inner` but keeps the default cycle_invariant():
-/// launches run the plain watchdog path.
-class PlainForward final : public arch::MachineHooks {
- public:
-  explicit PlainForward(arch::MachineHooks& inner) : in_(inner) {}
-  void on_launch_begin(arch::Gpu& g, const isa::Program& p) override {
-    in_.on_launch_begin(g, p);
-  }
-  void pre_cycle(arch::Gpu& g, unsigned sm, unsigned ppb) override {
-    in_.pre_cycle(g, sm, ppb);
-  }
-  int post_select(arch::Gpu& g, unsigned sm, unsigned ppb, int slot) override {
-    return in_.post_select(g, sm, ppb, slot);
-  }
-  std::uint32_t post_fetch_pc(arch::Gpu& g, unsigned sm, unsigned ppb, unsigned slot,
-                              std::uint32_t pc) override {
-    return in_.post_fetch_pc(g, sm, ppb, slot, pc);
-  }
-  std::uint64_t post_fetch_word(arch::Gpu& g, unsigned sm, unsigned ppb, unsigned slot,
-                                std::uint64_t word) override {
-    return in_.post_fetch_word(g, sm, ppb, slot, word);
-  }
-  void post_decode(arch::Gpu& g, unsigned sm, unsigned ppb, isa::Instruction& in,
-                   bool& ok) override {
-    in_.post_decode(g, sm, ppb, in, ok);
-  }
-  void pre_execute(arch::ExecCtx& ctx) override { in_.pre_execute(ctx); }
-  void post_execute(arch::ExecCtx& ctx) override { in_.post_execute(ctx); }
-
- private:
-  arch::MachineHooks& in_;
-};
-
 TEST(Campaign, FastInjectionEqualsFreshPlainRun) {
   // The memory image and the livelock cut must not change any outcome: for
   // every app and software model, AppInjectionRunner agrees with a fresh
@@ -228,7 +196,7 @@ TEST(Campaign, FastInjectionEqualsFreshPlainRun) {
         const AppOutcome got = runner.inject(d);
 
         ErrorInjector injector(d);
-        PlainForward plain(injector);
+        arch::PlainForward plain(injector);
         gpu.clear_memories();
         w->setup(gpu);
         gpu.set_hooks(&plain);
@@ -258,6 +226,26 @@ TEST(Campaign, FastInjectionEqualsFreshPlainRun) {
   }
   EXPECT_GT(hangs, 0u);
   EXPECT_GT(cuts.value(), cuts0);
+}
+
+TEST(Campaign, GoldenRunCountsItsLaunches) {
+  // arch.* totals are added once per launch from its LaunchResult, so a run
+  // raises them by exactly its RunStats.
+  obs::Counter& launches = obs::counter("arch.launches");
+  obs::Counter& instructions = obs::counter("arch.instructions");
+  obs::Counter& cycles = obs::counter("arch.cycles");
+  for (const char* name : {"nw", "bfs"}) {
+    const workloads::Workload& w = app(name);
+    arch::Gpu gpu;
+    w.setup(gpu);
+    const std::uint64_t l0 = launches.value(), i0 = instructions.value(), c0 = cycles.value();
+    const workloads::RunStats stats = w.run(gpu);
+    ASSERT_TRUE(stats.ok) << name;
+    EXPECT_GT(stats.launches, 1u) << name;
+    EXPECT_EQ(launches.value() - l0, stats.launches) << name;
+    EXPECT_EQ(instructions.value() - i0, stats.instructions) << name;
+    EXPECT_EQ(cycles.value() - c0, stats.cycles) << name;
+  }
 }
 
 TEST(Campaign, BfsIalHangsAreCut) {

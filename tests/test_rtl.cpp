@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
+#include "plain_forward.hpp"
 #include "rtl/campaign.hpp"
 #include "rtl/microbench.hpp"
 #include "syndrome/pattern.hpp"
@@ -110,6 +112,76 @@ TEST(Injector, InjectionDoesNotPerturbNextRun) {
   benign.bus = sf::BusFault{sf::Bus::AddExpDiff, 7, false};  // unused by FMUL
   const InjectionResult r = inj.inject(benign);
   EXPECT_EQ(r.outcome, Outcome::Masked);
+}
+
+TEST(Injector, PermanentRtlHooksCutLivelocksExactly) {
+  // The first 300 ids of a t-MxM pipeline and a scheduler campaign (the
+  // fault stream of TmxmUnitRunner) run once with the hook itself, which may
+  // cut a periodic hang short, and once through PlainForward. The launch
+  // verdict and every output word must agree; they are all an
+  // InjectionResult is made of.
+  constexpr auto kType = workloads::TileType::Random;
+  constexpr std::uint64_t kSeed = 3, kIds = 300, kBudget = 400'000;
+  obs::Counter& cuts = obs::counter("arch.livelocks_cut");
+  const std::uint64_t cuts0 = cuts.value();
+  std::vector<FaultSpec> cut_hangs;
+  for (const Site site : {Site::Pipeline, Site::Scheduler}) {
+    Rng base(kSeed ^ (static_cast<std::uint64_t>(kType) << 8) ^
+             (static_cast<std::uint64_t>(site) << 16));
+    for (std::uint64_t draw = 0; draw < 4; ++draw) {
+      const Target t = target_from_tmxm(kType, kSeed * 16 + draw);
+      arch::Gpu cut_gpu, plain_gpu;
+      t.setup(cut_gpu);
+      t.setup(plain_gpu);
+      const arch::Gpu::MemoryImage image = cut_gpu.save_memory();
+      auto run = [&](arch::Gpu& gpu, arch::MachineHooks& hooks) {
+        gpu.restore_memory(image);
+        gpu.set_hooks(&hooks);
+        const bool ok = t.run(gpu, kBudget);
+        gpu.set_hooks(nullptr);
+        return std::pair(ok, std::vector<std::uint32_t>(
+                                 gpu.global().begin() + static_cast<std::ptrdiff_t>(t.out_addr),
+                                 gpu.global().begin() +
+                                     static_cast<std::ptrdiff_t>(t.out_addr + t.out_words)));
+      };
+      for (std::uint64_t id = draw; id < kIds; id += 4) {
+        Rng rng = base.fork(id);
+        const FaultSpec f = random_fault(site, true, rng);
+        PipelineFaultHook pipe(f.pipe, f.timing);
+        SchedulerFaultHook sched(f.sched, f.timing);
+        arch::MachineHooks& hook =
+            site == Site::Pipeline ? static_cast<arch::MachineHooks&>(pipe) : sched;
+        ASSERT_TRUE(hook.cycle_invariant());
+        arch::PlainForward plain(hook);
+        const std::uint64_t before = cuts.value();
+        const auto got = run(cut_gpu, hook);
+        if (cuts.value() > before) cut_hangs.push_back(f);
+        const auto want = run(plain_gpu, plain);
+        EXPECT_EQ(got, want) << site_name(site) << " id " << id;
+      }
+    }
+  }
+  ASSERT_GT(cuts.value(), cuts0);
+  ASSERT_FALSE(cut_hangs.empty());
+
+  // The same periodic hang under Transient timing (active over the whole
+  // budget, so the same hang) runs the plain watchdog: no cut.
+  FaultSpec f = cut_hangs.front();
+  f.timing.mode = FaultTiming::Mode::Transient;
+  f.timing.onset = 0;
+  f.timing.duration = 2 * kBudget;
+  PipelineFaultHook pipe(f.pipe, f.timing);
+  SchedulerFaultHook sched(f.sched, f.timing);
+  arch::MachineHooks& hook =
+      f.site == Site::Pipeline ? static_cast<arch::MachineHooks&>(pipe) : sched;
+  EXPECT_FALSE(hook.cycle_invariant());
+  const Target t = target_from_tmxm(kType, kSeed * 16);
+  arch::Gpu gpu;
+  t.setup(gpu);
+  gpu.set_hooks(&hook);
+  const std::uint64_t before = cuts.value();
+  EXPECT_FALSE(t.run(gpu, kBudget));
+  EXPECT_EQ(cuts.value(), before);
 }
 
 TEST(Campaign, MicroCampaignProducesMixedOutcomes) {
