@@ -74,7 +74,8 @@ int main() {
     t.header({"app", "SDC", "DUE", "Masked", "dominant DUE cause"});
     for (const workloads::Workload* w : apps) {
       const auto t0 = Clock::now();
-      const perfi::EprCell c = perfi::run_epr_cell(*w, model, n, seed);
+      store::ScratchStore scratch(perfi::epr_campaign_meta(*w, model, n, seed));
+      const perfi::EprCell c = perfi::run_epr_cell_store(*w, scratch.ckpt());
       const double secs =
           std::chrono::duration<double>(Clock::now() - t0).count();
       std::string cause = "-";

@@ -22,8 +22,10 @@ int main() {
   std::size_t cells = 0;
   for (ErrorModel model : perfi::software_models()) {
     perfi::EprCell sum;
-    for (const workloads::Workload* w : apps)
-      sum.merge(perfi::run_epr_cell(*w, model, n, seed));
+    for (const workloads::Workload* w : apps) {
+      store::ScratchStore scratch(perfi::epr_campaign_meta(*w, model, n, seed));
+      sum.merge(perfi::run_epr_cell_store(*w, scratch.ckpt()));
+    }
     const double addr_share =
         sum.due ? static_cast<double>(sum.due_illegal_address +
                                       sum.due_invalid_register +

@@ -36,17 +36,14 @@ int main() {
           site == Site::FuLane && (op == MicroOp::FSIN || op == MicroOp::FEXP)
               ? Site::Sfu
               : site;
-      rtl::AvfSummary avg;
+      std::vector<rtl::InjectionResult> d;
       for (InputRange r : ranges) {
-        const rtl::AvfSummary s = rtl::run_micro_campaign(op, r, effective, n, seed);
-        avg.injections += s.injections;
-        avg.masked += s.masked;
-        avg.sdc_single += s.sdc_single;
-        avg.sdc_multi += s.sdc_multi;
-        avg.due += s.due;
-        avg.corrupted_total += s.corrupted_total;
-        avg.per_warp_sum += s.per_warp_sum;
+        store::ScratchStore scratch(
+            rtl::micro_campaign_meta(op, r, effective, n, seed));
+        rtl::run_tmxm_campaign_store(scratch.ckpt(), &d);
       }
+      rtl::AvfSummary avg;
+      for (const rtl::InjectionResult& r : d) avg.add(r);
       t.row({std::string(rtl::micro_op_name(op)), Table::pct(avg.avf_sdc_single()),
              Table::pct(avg.avf_sdc_multi()), Table::pct(avg.avf_due()),
              Table::pct(static_cast<double>(avg.masked) /

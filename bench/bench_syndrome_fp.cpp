@@ -35,7 +35,8 @@ int main() {
 
     for (MicroOp op : ops) {
       for (InputRange r : ranges) {
-        const rtl::AvfSummary s = rtl::run_micro_campaign(op, r, site, n, seed);
+        store::ScratchStore scratch(rtl::micro_campaign_meta(op, r, site, n, seed));
+        const rtl::AvfSummary s = rtl::run_tmxm_campaign_store(scratch.ckpt());
         stats::DecadeHistogram h;
         h.add_all(s.rel_errors);
         std::vector<std::string> row{std::string(rtl::micro_op_name(op)) + "/" +
@@ -58,7 +59,9 @@ int main() {
     for (Site site : {Site::FuLane, Site::Pipeline}) {
       rtl::AvfSummary all;
       for (InputRange r : ranges) {
-        const rtl::AvfSummary s = rtl::run_micro_campaign(op, r, site, n, seed + 1);
+        store::ScratchStore scratch(
+            rtl::micro_campaign_meta(op, r, site, n, seed + 1));
+        const rtl::AvfSummary s = rtl::run_tmxm_campaign_store(scratch.ckpt());
         all.rel_errors.insert(all.rel_errors.end(), s.rel_errors.begin(),
                               s.rel_errors.end());
       }

@@ -23,8 +23,9 @@ int main() {
   std::vector<double> measured;
   for (auto r : {rtl::InputRange::Small, rtl::InputRange::Medium,
                  rtl::InputRange::Large}) {
-    const rtl::AvfSummary s = rtl::run_micro_campaign(
-        rtl::MicroOp::FMUL, r, rtl::Site::FuLane, scaled(250, 60), 5);
+    store::ScratchStore scratch(rtl::micro_campaign_meta(
+        rtl::MicroOp::FMUL, r, rtl::Site::FuLane, scaled(250, 60), 5));
+    const rtl::AvfSummary s = rtl::run_tmxm_campaign_store(scratch.ckpt());
     // Exclude the inf/NaN overflow sentinels: they are a saturation bucket,
     // not part of the continuous relative-error distribution being fitted.
     for (double e : s.rel_errors)

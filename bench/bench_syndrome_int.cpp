@@ -32,7 +32,8 @@ int main() {
 
     for (MicroOp op : ops) {
       for (InputRange r : ranges) {
-        const rtl::AvfSummary s = rtl::run_micro_campaign(op, r, site, n, seed);
+        store::ScratchStore scratch(rtl::micro_campaign_meta(op, r, site, n, seed));
+        const rtl::AvfSummary s = rtl::run_tmxm_campaign_store(scratch.ckpt());
         stats::DecadeHistogram h;
         h.add_all(s.rel_errors);
         std::vector<std::string> row{std::string(rtl::micro_op_name(op)) + "/" +

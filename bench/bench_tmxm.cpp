@@ -34,7 +34,8 @@ int main() {
   for (Site site : sites) {
     for (TileType tile : tiles) {
       std::vector<rtl::InjectionResult> d;
-      const rtl::AvfSummary s = rtl::run_tmxm_campaign(tile, site, n, seed, &d);
+      store::ScratchStore scratch(rtl::tmxm_campaign_meta(tile, site, n, seed));
+      const rtl::AvfSummary s = rtl::run_tmxm_campaign_store(scratch.ckpt(), &d);
       for (auto& r : d) details.emplace_back(site, std::move(r));
       const double sdcs = static_cast<double>(s.sdc_single + s.sdc_multi);
       avf.row({std::string(rtl::site_name(site)),

@@ -56,13 +56,13 @@ int main(int argc, char** argv) {
             << std::dec << " operLoc=" << desc.err_oper_loc << "\n";
 
   perfi::AppInjectionRunner runner(*app);
-  const perfi::AppOutcome outcome = runner.inject(desc);
-  std::cout << "outcome: " << perfi::outcome_name(outcome);
-  if (outcome == perfi::AppOutcome::DUE)
+  const store::PerfiOutcome outcome = runner.inject(desc);
+  std::cout << "outcome: " << store::perfi_outcome_name(outcome);
+  if (store::perfi_is_due(outcome))
     std::cout << " (" << arch::trap_name(runner.last_trap()) << ")";
   std::cout << "\n";
 
-  if (outcome == perfi::AppOutcome::SDC) {
+  if (outcome == store::PerfiOutcome::Sdc) {
     // Show the corrupted elements (re-run to inspect memory).
     arch::Gpu g2;
     app->setup(g2);
@@ -85,7 +85,8 @@ int main(int argc, char** argv) {
   }
 
   // A small campaign for context.
-  const perfi::EprCell cell = perfi::run_epr_cell(*app, model, 25, 7);
+  store::ScratchStore scratch(perfi::epr_campaign_meta(*app, model, 25, 7));
+  const perfi::EprCell cell = perfi::run_epr_cell_store(*app, scratch.ckpt());
   std::cout << "\nEPR over 25 injections: SDC " << cell.sdc << ", DUE " << cell.due
             << ", Masked " << cell.masked << "\n";
   return 0;

@@ -20,9 +20,9 @@ int main() {
   std::vector<double> measured;
   for (auto range : {rtl::InputRange::Small, rtl::InputRange::Medium,
                      rtl::InputRange::Large}) {
-    const rtl::AvfSummary s =
-        rtl::run_micro_campaign(rtl::MicroOp::FMUL, range, rtl::Site::FuLane,
-                                400, 99);
+    store::ScratchStore scratch(rtl::micro_campaign_meta(
+        rtl::MicroOp::FMUL, range, rtl::Site::FuLane, 400, 99));
+    const rtl::AvfSummary s = rtl::run_tmxm_campaign_store(scratch.ckpt());
     measured.insert(measured.end(), s.rel_errors.begin(), s.rel_errors.end());
   }
   std::cout << "measured " << measured.size()

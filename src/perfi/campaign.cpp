@@ -9,15 +9,6 @@ namespace gpf::perfi {
 
 using errmodel::ErrorModel;
 
-const char* outcome_name(AppOutcome o) {
-  switch (o) {
-    case AppOutcome::Masked: return "Masked";
-    case AppOutcome::SDC: return "SDC";
-    case AppOutcome::DUE: return "DUE";
-  }
-  return "?";
-}
-
 void EprCell::merge(const EprCell& other) {
   injections += other.injections;
   masked += other.masked;
@@ -37,16 +28,16 @@ AppInjectionRunner::AppInjectionRunner(const workloads::Workload& w) : w_(w) {
   const workloads::RunStats stats = w_.run(gpu_);
   if (!stats.ok)
     throw std::runtime_error("golden run failed for " + std::string(w.name()));
-  golden_cycles_ = stats.cycles;
   const workloads::OutputSpec spec = w_.output();
   golden_.assign(
       gpu_.global().begin() + static_cast<std::ptrdiff_t>(spec.addr),
       gpu_.global().begin() + static_cast<std::ptrdiff_t>(spec.addr + spec.words));
   // Per-launch hang budget: generous multiple of the whole golden run.
-  budget_ = std::max<std::uint64_t>(golden_cycles_ * 30, 100'000);
+  budget_ = std::max<std::uint64_t>(stats.cycles * 30, 100'000);
 }
 
-AppOutcome AppInjectionRunner::inject(const errmodel::ErrorDescriptor& desc) {
+store::PerfiOutcome AppInjectionRunner::inject(
+    const errmodel::ErrorDescriptor& desc) {
   ErrorInjector injector(desc);
   if (image_.segments.empty()) {  // bare-metal app: kernels may write anywhere
     gpu_.clear_memories();
@@ -58,76 +49,43 @@ AppOutcome AppInjectionRunner::inject(const errmodel::ErrorDescriptor& desc) {
   last_stats_ = w_.run(gpu_, budget_);
   gpu_.set_hooks(nullptr);
 
-  if (!last_stats_.ok) return AppOutcome::DUE;
+  if (!last_stats_.ok) {
+    switch (last_stats_.trap) {
+      case arch::TrapKind::IllegalAddress:
+      case arch::TrapKind::InvalidPC:
+        return store::PerfiOutcome::DueIllegalAddress;
+      case arch::TrapKind::InvalidRegister:
+        return store::PerfiOutcome::DueInvalidRegister;
+      case arch::TrapKind::InvalidOpcode:
+        return store::PerfiOutcome::DueInvalidOpcode;
+      case arch::TrapKind::Watchdog: return store::PerfiOutcome::DueHang;
+      default: return store::PerfiOutcome::DueOther;
+    }
+  }
   const workloads::OutputSpec spec = w_.output();
   const bool equal = std::equal(
       golden_.begin(), golden_.end(),
       gpu_.global().begin() + static_cast<std::ptrdiff_t>(spec.addr));
-  return equal ? AppOutcome::Masked : AppOutcome::SDC;
+  return equal ? store::PerfiOutcome::Masked : store::PerfiOutcome::Sdc;
 }
 
 namespace {
 
-store::PerfiOutcome to_perfi_outcome(AppOutcome out, arch::TrapKind trap) {
-  switch (out) {
-    case AppOutcome::Masked: return store::PerfiOutcome::Masked;
-    case AppOutcome::SDC: return store::PerfiOutcome::Sdc;
-    case AppOutcome::DUE: break;
-  }
-  switch (trap) {
-    case arch::TrapKind::IllegalAddress:
-    case arch::TrapKind::InvalidPC:
-      return store::PerfiOutcome::DueIllegalAddress;
-    case arch::TrapKind::InvalidRegister:
-      return store::PerfiOutcome::DueInvalidRegister;
-    case arch::TrapKind::InvalidOpcode: return store::PerfiOutcome::DueInvalidOpcode;
-    case arch::TrapKind::Watchdog: return store::PerfiOutcome::DueHang;
-    default: return store::PerfiOutcome::DueOther;
-  }
-}
-
 void add_outcome(EprCell& cell, store::PerfiOutcome o) {
   ++cell.injections;
   switch (o) {
-    case store::PerfiOutcome::Masked: ++cell.masked; break;
-    case store::PerfiOutcome::Sdc: ++cell.sdc; break;
-    case store::PerfiOutcome::DueIllegalAddress:
-      ++cell.due;
-      ++cell.due_illegal_address;
-      break;
-    case store::PerfiOutcome::DueInvalidRegister:
-      ++cell.due;
-      ++cell.due_invalid_register;
-      break;
-    case store::PerfiOutcome::DueInvalidOpcode:
-      ++cell.due;
-      ++cell.due_invalid_opcode;
-      break;
-    case store::PerfiOutcome::DueHang:
-      ++cell.due;
-      ++cell.due_hang;
-      break;
-    case store::PerfiOutcome::DueOther:
-      ++cell.due;
-      ++cell.due_other;
-      break;
+    case store::PerfiOutcome::Masked: ++cell.masked; return;
+    case store::PerfiOutcome::Sdc: ++cell.sdc; return;
+    case store::PerfiOutcome::DueIllegalAddress: ++cell.due_illegal_address; break;
+    case store::PerfiOutcome::DueInvalidRegister: ++cell.due_invalid_register; break;
+    case store::PerfiOutcome::DueInvalidOpcode: ++cell.due_invalid_opcode; break;
+    case store::PerfiOutcome::DueHang: ++cell.due_hang; break;
+    case store::PerfiOutcome::DueOther: ++cell.due_other; break;
   }
+  ++cell.due;
 }
 
 }  // namespace
-
-EprCell run_epr_cell(const workloads::Workload& w, ErrorModel model, std::size_t n,
-                     std::uint64_t seed) {
-  EprCell cell;
-  AppInjectionRunner runner(w);
-  Rng rng(seed ^ (static_cast<std::uint64_t>(model) * 0x9E3779B9u));
-  for (std::size_t i = 0; i < n; ++i) {
-    const errmodel::ErrorDescriptor desc = random_descriptor(model, rng);
-    const AppOutcome out = runner.inject(desc);
-    add_outcome(cell, to_perfi_outcome(out, runner.last_trap()));
-  }
-  return cell;
-}
 
 store::CampaignMeta epr_campaign_meta(const workloads::Workload& w,
                                       ErrorModel model, std::size_t n,
@@ -144,10 +102,6 @@ store::CampaignMeta epr_campaign_meta(const workloads::Workload& w,
   meta.shard_count = shard_count;
   meta.app = std::string(w.name());
   return meta;
-}
-
-void add_record(EprCell& cell, const store::PerfiRecord& rec) {
-  add_outcome(cell, rec.outcome);
 }
 
 EprUnitRunner::EprUnitRunner(const workloads::Workload& w,
@@ -170,10 +124,8 @@ void EprUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
   for (const std::uint64_t i : ids) {
     if (stop && stop()) return;
     Rng rng = base_.fork(i);
-    const errmodel::ErrorDescriptor desc = random_descriptor(model, rng);
-    const AppOutcome out = runner_.inject(desc);
     store::PerfiRecord rec;
-    rec.outcome = to_perfi_outcome(out, runner_.last_trap());
+    rec.outcome = runner_.inject(random_descriptor(model, rng));
     emit(i, rec);
   }
 }

@@ -18,9 +18,6 @@
 
 namespace gpf::perfi {
 
-enum class AppOutcome : std::uint8_t { Masked, SDC, DUE };
-const char* outcome_name(AppOutcome o);
-
 /// EPR numbers for one (application, error model) cell.
 struct EprCell {
   std::size_t injections = 0, masked = 0, sdc = 0, due = 0;
@@ -48,11 +45,11 @@ class AppInjectionRunner {
  public:
   explicit AppInjectionRunner(const workloads::Workload& w);
 
-  AppOutcome inject(const errmodel::ErrorDescriptor& desc);
+  /// Masked, SDC, or the DUE cause of the trap that ended the run.
+  store::PerfiOutcome inject(const errmodel::ErrorDescriptor& desc);
   arch::TrapKind last_trap() const { return last_stats_.trap; }
   /// Launch totals of the last injection's run.
   const workloads::RunStats& last_stats() const { return last_stats_; }
-  std::uint64_t golden_cycles() const { return golden_cycles_; }
   /// Per-launch hang budget of every injection.
   std::uint64_t budget() const { return budget_; }
 
@@ -62,13 +59,8 @@ class AppInjectionRunner {
   arch::Gpu::MemoryImage image_;  ///< memory right after setup()
   std::vector<std::uint32_t> golden_;
   std::uint64_t budget_ = 0;
-  std::uint64_t golden_cycles_ = 0;
   workloads::RunStats last_stats_;
 };
-
-/// Inject `n` random descriptors of one model into one application.
-EprCell run_epr_cell(const workloads::Workload& w, errmodel::ErrorModel model,
-                     std::size_t n, std::uint64_t seed);
 
 /// Store header for one (application, error model) EPR cell.
 store::CampaignMeta epr_campaign_meta(const workloads::Workload& w,
@@ -77,10 +69,10 @@ store::CampaignMeta epr_campaign_meta(const workloads::Workload& w,
                                       std::uint32_t shard_index = 0,
                                       std::uint32_t shard_count = 1);
 
-/// Durable variant of run_epr_cell: injection i's error descriptor is drawn
-/// from an RNG stream forked on i (shard- and resume-stable), each outcome is
-/// appended to `ckpt` as it retires, and done ids are restored instead of
-/// re-run. The returned cell covers this shard's retired injections.
+/// The EPR cell driver: injection i's error descriptor is drawn from an RNG
+/// stream forked on i (shard- and resume-stable), each outcome is appended to
+/// `ckpt` as it retires, and done ids are restored instead of re-run. The
+/// returned cell covers this shard's retired injections.
 EprCell run_epr_cell_store(const workloads::Workload& w,
                            store::CampaignCheckpoint& ckpt);
 
@@ -105,9 +97,6 @@ class EprUnitRunner {
   AppInjectionRunner runner_;
   Rng base_;
 };
-
-/// Folds one stored outcome into an EPR cell's counters.
-void add_record(EprCell& cell, const store::PerfiRecord& rec);
 
 /// The 11 models evaluated in software (IPP is representable by the others,
 /// IVOC always DUEs at the low level — both excluded, as in the paper).

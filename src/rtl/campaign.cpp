@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "common/bitops.hpp"
 #include "store/records.hpp"
@@ -337,26 +338,6 @@ InjectionResult Injector::inject(const FaultSpec& fault) {
 // Campaigns
 // ---------------------------------------------------------------------------
 
-AvfSummary run_micro_campaign(MicroOp op, InputRange range, Site site,
-                              std::size_t injections, std::uint64_t seed) {
-  AvfSummary summary;
-  const bool float_op = micro_op_is_float(op);
-  Rng rng(seed ^ (static_cast<std::uint64_t>(op) << 8) ^
-          (static_cast<std::uint64_t>(range) << 16) ^
-          (static_cast<std::uint64_t>(site) << 24));
-
-  // The paper averages 4 random value draws per input range.
-  for (std::uint64_t draw = 0; draw < 4; ++draw) {
-    const MicroBench mb = make_micro_bench(op, range, seed * 4 + draw);
-    const bool soft = site == Site::FuLane || site == Site::Sfu;
-    Injector injector(target_from_micro(mb, soft));
-    const std::size_t n = injections / 4 + (draw < injections % 4 ? 1 : 0);
-    for (std::size_t i = 0; i < n; ++i)
-      summary.add(injector.inject(random_fault(site, float_op, rng)));
-  }
-  return summary;
-}
-
 store::CampaignMeta tmxm_campaign_meta(workloads::TileType type, Site site,
                                        std::size_t injections, std::uint64_t seed,
                                        std::uint32_t shard_index,
@@ -370,6 +351,29 @@ store::CampaignMeta tmxm_campaign_meta(workloads::TileType type, Site site,
   meta.shard_count = shard_count;
   meta.param0 = static_cast<std::uint64_t>(site);
   return meta;
+}
+
+store::CampaignMeta micro_campaign_meta(MicroOp op, InputRange range, Site site,
+                                        std::size_t injections, std::uint64_t seed,
+                                        std::uint32_t shard_index,
+                                        std::uint32_t shard_count) {
+  store::CampaignMeta meta = tmxm_campaign_meta(
+      workloads::TileType{}, site, injections, seed, shard_index, shard_count);
+  meta.param1 = (static_cast<std::uint64_t>(op) + 1) |
+                static_cast<std::uint64_t>(range) << 8;
+  return meta;
+}
+
+std::optional<MicroCell> micro_cell_of(const store::CampaignMeta& meta) {
+  if (meta.kind != store::CampaignKind::Rtl || meta.param1 == 0)
+    return std::nullopt;
+  const std::uint64_t op = (meta.param1 & 0xFF) - 1, range = meta.param1 >> 8;
+  if (op >= static_cast<std::uint64_t>(MicroOp::COUNT) ||
+      range > static_cast<std::uint64_t>(InputRange::Large))
+    throw std::runtime_error("rtl campaign: param1 " +
+                             std::to_string(meta.param1) +
+                             " names no micro-benchmark cell");
+  return MicroCell{static_cast<MicroOp>(op), static_cast<InputRange>(range)};
 }
 
 store::RtlRecord to_rtl_record(const InjectionResult& r) {
@@ -393,35 +397,41 @@ InjectionResult from_rtl_record(const store::RtlRecord& rec) {
 }
 
 TmxmUnitRunner::TmxmUnitRunner(const store::CampaignMeta& meta)
-    : meta_(meta),
-      base_(meta.seed ^
-            (static_cast<std::uint64_t>(
-                 static_cast<workloads::TileType>(meta.target))
-             << 8) ^
-            (static_cast<std::uint64_t>(static_cast<Site>(meta.param0))
-             << 16)) {
+    : meta_(meta), micro_(micro_cell_of(meta)) {
   if (meta.kind != store::CampaignKind::Rtl)
     throw std::runtime_error("tmxm campaign: meta is not an rtl campaign");
+  // The stream every per-id fault stream forks from.
+  base_ = Rng(micro_ ? meta.seed ^ (static_cast<std::uint64_t>(micro_->op) << 8) ^
+                           (static_cast<std::uint64_t>(micro_->range) << 16) ^
+                           (meta.param0 << 24)
+                     : meta.seed ^ (std::uint64_t{meta.target} << 8) ^
+                           (meta.param0 << 16));
 }
 
 Injector& TmxmUnitRunner::injector_for(std::uint64_t draw) {
-  // Injections keep the legacy 4-value-draw split: id i belongs to draw
-  // i % 4, each draw with its own input tile. Injectors are built lazily so
-  // a short work unit pays one golden run, not four.
-  if (!injectors_[draw])
-    injectors_[draw] = std::make_unique<Injector>(target_from_tmxm(
-        static_cast<workloads::TileType>(meta_.target),
-        meta_.seed * 16 + draw));
+  // Id i belongs to draw i % 4, each draw with its own input values. Injectors
+  // are built lazily so a short work unit pays one golden run, not four.
+  if (!injectors_[draw]) {
+    const auto site = static_cast<Site>(meta_.param0);
+    injectors_[draw] = std::make_unique<Injector>(
+        micro_ ? target_from_micro(
+                     make_micro_bench(micro_->op, micro_->range,
+                                      meta_.seed * 4 + draw),
+                     site == Site::FuLane || site == Site::Sfu)
+               : target_from_tmxm(static_cast<workloads::TileType>(meta_.target),
+                                  meta_.seed * 16 + draw));
+  }
   return *injectors_[draw];
 }
 
 void TmxmUnitRunner::run(std::span<const std::uint64_t> ids, const Emit& emit,
                          const std::function<bool()>& stop) {
   const auto site = static_cast<Site>(meta_.param0);
+  const bool float_op = !micro_ || micro_op_is_float(micro_->op);
   for (const std::uint64_t i : ids) {
     if (stop && stop()) return;
     Rng rng = base_.fork(i);
-    emit(i, injector_for(i % 4).inject(random_fault(site, true, rng)));
+    emit(i, injector_for(i % 4).inject(random_fault(site, float_op, rng)));
   }
 }
 
@@ -450,24 +460,6 @@ AvfSummary run_tmxm_campaign_store(store::CampaignCheckpoint& ckpt,
     if (details) details->push_back(std::move(r));
   }
   ckpt.sync();  // campaign boundary: all recorded results are now durable
-  return summary;
-}
-
-AvfSummary run_tmxm_campaign(workloads::TileType type, Site site,
-                             std::size_t injections, std::uint64_t seed,
-                             std::vector<InjectionResult>* details) {
-  AvfSummary summary;
-  Rng rng(seed ^ (static_cast<std::uint64_t>(type) << 8) ^
-          (static_cast<std::uint64_t>(site) << 16));
-  for (std::uint64_t draw = 0; draw < 4; ++draw) {
-    Injector injector(target_from_tmxm(type, seed * 16 + draw));
-    const std::size_t n = injections / 4 + (draw < injections % 4 ? 1 : 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      InjectionResult r = injector.inject(random_fault(site, true, rng));
-      summary.add(r);
-      if (details) details->push_back(std::move(r));
-    }
-  }
   return summary;
 }
 

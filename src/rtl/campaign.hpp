@@ -1,4 +1,4 @@
-// RTL fault-injection campaigns (Figs. 4-9, Tables 2): inject stuck-at
+// RTL fault-injection campaigns (Figs. 4-9, Table 2): inject stuck-at
 // faults into functional units / SFUs / pipeline registers / scheduler state
 // while a micro-benchmark or the t-MxM mini-app runs, and classify each
 // injection as Masked / single-thread SDC / multi-thread SDC / DUE, keeping
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -98,28 +99,35 @@ class Injector {
   std::uint64_t budget_ = 0;
 };
 
-/// Fig. 4 campaign: one (instruction, range, site) cell. Injections are split
-/// over the paper's 4 random value draws per range.
-AvfSummary run_micro_campaign(MicroOp op, InputRange range, Site site,
-                              std::size_t injections, std::uint64_t seed);
-
-/// Figs. 7-9 / Table 2 campaign on the t-MxM mini-app. Per-injection details
-/// (for spatial patterns and per-element syndromes) optionally collected.
-AvfSummary run_tmxm_campaign(workloads::TileType type, Site site,
-                             std::size_t injections, std::uint64_t seed,
-                             std::vector<InjectionResult>* details = nullptr);
-
 /// Store header for a t-MxM campaign (target = tile type, param0 = site).
 store::CampaignMeta tmxm_campaign_meta(workloads::TileType type, Site site,
                                        std::size_t injections, std::uint64_t seed,
                                        std::uint32_t shard_index = 0,
                                        std::uint32_t shard_count = 1);
 
-/// Durable variant of run_tmxm_campaign: injection i's fault is drawn from an
-/// independent RNG stream forked on i, so every shard / resumed run computes
-/// the identical fault for a given id regardless of which ids already
-/// retired. Done ids are restored from the store; fresh ones are recorded as
-/// they retire. The summary covers this shard's retired injections.
+/// One Figs. 4-6 micro-benchmark cell: an instruction and an input range.
+struct MicroCell {
+  MicroOp op = MicroOp::FADD;
+  InputRange range = InputRange::Small;
+};
+
+/// Store header for a micro-benchmark cell (param0 = site, param1 = the cell;
+/// see CampaignMeta::param1).
+store::CampaignMeta micro_campaign_meta(MicroOp op, InputRange range, Site site,
+                                        std::size_t injections, std::uint64_t seed,
+                                        std::uint32_t shard_index = 0,
+                                        std::uint32_t shard_count = 1);
+
+/// The micro-benchmark cell an rtl meta names, or nullopt for any other
+/// campaign. Throws on an rtl param1 that names no cell.
+std::optional<MicroCell> micro_cell_of(const store::CampaignMeta& meta);
+
+/// The RTL campaign driver (t-MxM and micro-benchmark cells): injection i's
+/// fault is drawn from an independent RNG stream forked on i, so every shard
+/// / resumed run computes the identical fault for a given id regardless of
+/// which ids already retired. Done ids are restored from the store; fresh
+/// ones are recorded as they retire. The summary covers this shard's retired
+/// injections.
 AvfSummary run_tmxm_campaign_store(store::CampaignCheckpoint& ckpt,
                                    std::vector<InjectionResult>* details = nullptr);
 
@@ -129,10 +137,10 @@ store::RtlRecord to_rtl_record(const InjectionResult& r);
 InjectionResult from_rtl_record(const store::RtlRecord& rec);
 
 /// Work-unit adapter for lease-based dispatch: evaluates arbitrary
-/// injection ids of one t-MxM campaign. Injection i's fault comes from an
-/// RNG stream forked on i and its input tile from draw i % 4, so any
-/// process evaluating id i produces the identical record. Injectors (one
-/// golden run each) are built lazily per draw and reused across run()
+/// injection ids of one t-MxM or micro-benchmark campaign. Injection i's
+/// fault comes from an RNG stream forked on i and its inputs from draw i % 4,
+/// so any process evaluating id i produces the identical record. Injectors
+/// (one golden run each) are built lazily per draw and reused across run()
 /// calls, so a worker pays at most 4 golden runs per campaign.
 class TmxmUnitRunner {
  public:
@@ -149,6 +157,7 @@ class TmxmUnitRunner {
   Injector& injector_for(std::uint64_t draw);
 
   store::CampaignMeta meta_;
+  std::optional<MicroCell> micro_;
   Rng base_;
   std::array<std::unique_ptr<Injector>, 4> injectors_;
 };

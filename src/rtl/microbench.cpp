@@ -12,22 +12,12 @@ using isa::SpecialReg;
 using Reg = KernelBuilder::Reg;
 
 std::string_view micro_op_name(MicroOp op) {
-  switch (op) {
-    case MicroOp::FADD: return "FADD";
-    case MicroOp::FMUL: return "FMUL";
-    case MicroOp::FFMA: return "FFMA";
-    case MicroOp::IADD: return "IADD";
-    case MicroOp::IMUL: return "IMUL";
-    case MicroOp::IMAD: return "IMAD";
-    case MicroOp::FSIN: return "FSIN";
-    case MicroOp::FEXP: return "FEXP";
-    case MicroOp::GLD: return "GLD";
-    case MicroOp::GST: return "GST";
-    case MicroOp::BRA: return "BRA";
-    case MicroOp::ISET: return "ISET";
-    case MicroOp::COUNT: break;
-  }
-  return "?";
+  static constexpr std::string_view kNames[] = {"FADD", "FMUL", "FFMA", "IADD",
+                                                "IMUL", "IMAD", "FSIN", "FEXP",
+                                                "GLD",  "GST",  "BRA",  "ISET"};
+  static_assert(std::size(kNames) == static_cast<std::size_t>(MicroOp::COUNT));
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 bool micro_op_is_float(MicroOp op) {
@@ -50,12 +40,8 @@ bool micro_op_uses_fu(MicroOp op) {
 }
 
 std::string_view range_name(InputRange r) {
-  switch (r) {
-    case InputRange::Small: return "S";
-    case InputRange::Medium: return "M";
-    case InputRange::Large: return "L";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(r);
+  return i < 3 ? std::string_view("SML").substr(i, 1) : "?";
 }
 
 namespace {

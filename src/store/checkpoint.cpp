@@ -1,5 +1,10 @@
 #include "store/checkpoint.hpp"
 
+#include <stdlib.h>
+
+#include <filesystem>
+#include <stdexcept>
+
 namespace gpf::store {
 
 CampaignCheckpoint::CampaignCheckpoint(const std::string& path,
@@ -29,6 +34,20 @@ void CampaignCheckpoint::sync() {
 bool CampaignCheckpoint::should_stop() const {
   std::lock_guard<std::mutex> lock(mu_);
   return record_limit_ != 0 && fresh_records_ >= record_limit_;
+}
+
+ScratchStore::ScratchStore(const CampaignMeta& meta)
+    : dir_((std::filesystem::temp_directory_path() / "gpf-scratch-XXXXXX")
+               .string()) {
+  if (!::mkdtemp(dir_.data()))
+    throw std::runtime_error("store: cannot create a directory like " + dir_);
+  ckpt_ = std::make_unique<CampaignCheckpoint>(dir_ + "/campaign.gpfs", meta);
+}
+
+ScratchStore::~ScratchStore() {
+  ckpt_.reset();  // close the log before its directory goes
+  std::error_code ec;
+  std::filesystem::remove_all(dir_, ec);
 }
 
 }  // namespace gpf::store

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -60,6 +61,20 @@ class CampaignCheckpoint {
   mutable std::mutex mu_;
   std::size_t fresh_records_ = 0;
   std::size_t record_limit_ = 0;
+};
+
+/// A campaign store in a fresh temporary directory, removed with the object:
+/// the figure benches, examples and tests run cells through the same store
+/// drivers as gpfctl without leaving files behind.
+class ScratchStore {
+ public:
+  explicit ScratchStore(const CampaignMeta& meta);
+  ~ScratchStore();
+  CampaignCheckpoint& ckpt() { return *ckpt_; }
+
+ private:
+  std::string dir_;
+  std::unique_ptr<CampaignCheckpoint> ckpt_;
 };
 
 }  // namespace gpf::store

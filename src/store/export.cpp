@@ -40,6 +40,15 @@ const char* rtl_target_name(std::uint8_t t) {
   return "?";
 }
 
+/// Micro-benchmark cell label "OP/range" of an rtl param1 (see CampaignMeta).
+std::string rtl_micro_name(std::uint64_t p) {
+  static const char* const ops[] = {"FADD", "FMUL", "FFMA", "IADD", "IMUL", "IMAD",
+                                    "FSIN", "FEXP", "GLD", "GST", "BRA", "ISET"};
+  const std::uint64_t op = (p & 0xFF) - 1, range = p >> 8;
+  return std::string(op < std::size(ops) ? ops[op] : "?") + "/" +
+         (range < 3 ? "SML"[range] : '?');
+}
+
 const char* rtl_site_name(std::uint64_t s) {
   switch (s) {
     case 0: return "fu";
@@ -50,12 +59,10 @@ const char* rtl_site_name(std::uint64_t s) {
   return "?";
 }
 
-std::string target_name(const CampaignMeta& m) { return target_label(m); }
-
 void json_meta(const LoadedStore& s, std::ostream& os) {
   const CampaignMeta& m = s.meta;
   os << "  \"campaign\": {\"kind\": \"" << campaign_kind_name(m.kind)
-     << "\", \"target\": \"" << target_name(m) << "\", \"seed\": " << m.seed
+     << "\", \"target\": \"" << target_label(m) << "\", \"seed\": " << m.seed
      << ", \"total\": " << m.total << ", \"shard_index\": " << m.shard_index
      << ", \"shard_count\": " << m.shard_count;
   if (m.kind == CampaignKind::Gate) {
@@ -266,8 +273,8 @@ std::string target_label(const CampaignMeta& m) {
   switch (m.kind) {
     case CampaignKind::Gate: return gate_target_name(m.target);
     case CampaignKind::Rtl:
-      return std::string(rtl_target_name(m.target)) + "/" +
-             rtl_site_name(m.param0);
+      return (m.param1 ? rtl_micro_name(m.param1) : rtl_target_name(m.target)) +
+             "/" + rtl_site_name(m.param0);
     case CampaignKind::Perfi:
       return m.app + "/" +
              std::string(errmodel::name_of(
@@ -285,23 +292,13 @@ void export_store(const LoadedStore& s, ExportFormat format, std::ostream& os) {
   throw std::runtime_error("export: unknown campaign kind");
 }
 
-namespace {
-
-/// Ids in [0, total) belonging to this shard's slice.
-std::uint64_t owned_ids(const CampaignMeta& m) {
-  return m.total / m.shard_count +
-         (m.total % m.shard_count > m.shard_index ? 1 : 0);
-}
-
-}  // namespace
-
 void print_status(const LoadedStore& s, std::ostream& os) {
   const CampaignMeta& m = s.meta;
-  os << "campaign: " << campaign_kind_name(m.kind) << " " << target_name(m)
+  os << "campaign: " << campaign_kind_name(m.kind) << " " << target_label(m)
      << "\n";
   os << "seed:     " << m.seed << "\n";
   os << "shard:    " << m.shard_index << " of " << m.shard_count << "\n";
-  const std::uint64_t owned = owned_ids(m);
+  const std::uint64_t owned = m.owned_count();
   os << "progress: " << s.records.size() << " / " << owned
      << " owned ids retired (id space " << m.total << ")\n";
   if (s.torn_bytes_dropped)
@@ -358,13 +355,13 @@ void print_aggregate_status(
      << " campaign(s)\n";
   for (const auto& g : groups) {
     const CampaignMeta& m0 = stores[g.front()].second.meta;
-    os << "campaign " << campaign_kind_name(m0.kind) << " " << target_name(m0)
+    os << "campaign " << campaign_kind_name(m0.kind) << " " << target_label(m0)
        << " seed=" << m0.seed << " (id space " << m0.total << ")\n";
     std::uint64_t retired = 0;
     std::uint64_t owned_present = 0;
     for (const std::size_t i : g) {
       const CampaignMeta& m = stores[i].second.meta;
-      const std::uint64_t owned = owned_ids(m);
+      const std::uint64_t owned = m.owned_count();
       const std::uint64_t done = stores[i].second.records.size();
       retired += done;
       owned_present += owned;

@@ -17,7 +17,7 @@ enum class ExportFormat : std::uint8_t { Json, Csv };
 
 void export_store(const LoadedStore& s, ExportFormat format, std::ostream& os);
 
-/// Human-readable target of a campaign ("decoder", "max/fu",
+/// Human-readable target of a campaign ("decoder", "max/fu", "FADD/M/fu",
 /// "mxm/IOC", ...) — the same label export/status print, shared with the
 /// warehouse query layer.
 std::string target_label(const CampaignMeta& m);

@@ -23,7 +23,8 @@ namespace gpf::store {
 
 enum class CampaignKind : std::uint8_t {
   Gate = 0,   ///< gate-level stuck-at sweep (Tables 4-5, Fig. 10)
-  Rtl = 1,    ///< RTL t-MxM AVF injections (Figs. 7-9, Table 2)
+  Rtl = 1,    ///< RTL AVF injections: t-MxM (Figs. 7-9, Table 2) or a
+              ///< micro-benchmark cell (Figs. 4-6)
   Perfi = 2,  ///< instruction-level EPR injections (Figs. 12-13)
 };
 const char* campaign_kind_name(CampaignKind k);
@@ -41,11 +42,17 @@ struct CampaignMeta {
   std::uint32_t shard_index = 0;
   std::uint32_t shard_count = 1;
   std::uint64_t param0 = 0;  ///< gate: requested faults/unit; rtl: Site
-  std::uint64_t param1 = 0;  ///< gate: profiling max_issues
+  /// gate: profiling max_issues; rtl: 0 for t-MxM, or a micro-benchmark
+  /// cell (MicroOp + 1) | InputRange << 8
+  std::uint64_t param1 = 0;
   std::string app;           ///< perfi: workload name (<= 19 chars)
 
   /// True when `id` belongs to this shard's slice of the id space.
   bool owns(std::uint64_t id) const { return id % shard_count == shard_index; }
+  /// How many ids in [0, total) this shard owns.
+  std::uint64_t owned_count() const {
+    return total / shard_count + (shard_index < total % shard_count ? 1 : 0);
+  }
   /// Everything-but-shard equality (merge compatibility).
   bool same_campaign(const CampaignMeta& o) const;
   bool operator==(const CampaignMeta& o) const;

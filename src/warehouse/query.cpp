@@ -24,9 +24,10 @@ std::string model_name(unsigned m) {
 }
 
 /// Ids in [0, total) owned by one source's shard slice.
-std::uint64_t owned_ids(const store::CampaignMeta& m, const SourceTally& s) {
-  return m.total / s.shard_count +
-         (m.total % s.shard_count > s.shard_index ? 1 : 0);
+std::uint64_t slice_owned(store::CampaignMeta m, const SourceTally& s) {
+  m.shard_index = s.shard_index;
+  m.shard_count = s.shard_count;
+  return m.owned_count();
 }
 
 void json_campaign(const Footer& f, Metric metric, std::ostream& os) {
@@ -289,7 +290,7 @@ void render_workers(const Footer& f, QueryFormat format, std::ostream& os) {
       os << "  \"sources\": [\n";
       for (std::size_t i = 0; i < f.sources.size(); ++i) {
         const SourceTally& s = f.sources[i];
-        const std::uint64_t owned = owned_ids(f.meta, s);
+        const std::uint64_t owned = slice_owned(f.meta, s);
         os << (i ? ",\n" : "") << "    {\"shard_index\": " << s.shard_index
            << ", \"shard_count\": " << s.shard_count << ", \"rows\": " << s.rows
            << ", \"owned\": " << owned
@@ -306,7 +307,7 @@ void render_workers(const Footer& f, QueryFormat format, std::ostream& os) {
       os << "shard_index,shard_count,rows,owned,scanned_records,watermark\n";
       for (const SourceTally& s : f.sources)
         os << s.shard_index << "," << s.shard_count << "," << s.rows << ","
-           << owned_ids(f.meta, s) << "," << s.scanned_records << ","
+           << slice_owned(f.meta, s) << "," << s.scanned_records << ","
            << s.watermark << "\n";
       return;
     case QueryFormat::Table:
@@ -314,7 +315,7 @@ void render_workers(const Footer& f, QueryFormat format, std::ostream& os) {
          << f.meta.total << "\n";
       os << "  shard   rows/owned        retired  scanned  watermark\n";
       for (const SourceTally& s : f.sources) {
-        const std::uint64_t owned = owned_ids(f.meta, s);
+        const std::uint64_t owned = slice_owned(f.meta, s);
         char line[160];
         std::snprintf(line, sizeof(line),
                       "  %2u/%-2u  %8llu/%-8llu  %5.1f%%  %7llu  %9llu\n",

@@ -372,6 +372,42 @@ TEST(CampaignFlags, MalformedNumericFlagIsUsageErrorNamingTheFlag) {
   EXPECT_THROW(gpfcli::metas_from_flags(perfi), gpfcli::UsageError);
   perfi.flags["seed"] = "3";
   EXPECT_EQ(gpfcli::metas_from_flags(perfi).front().total, 5u);
+
+  // An rtl campaign is a t-MxM tile or a micro-benchmark cell: both, neither,
+  // or a lone --range is a usage error naming the flags; so is an unknown op
+  // or range.
+  using Flags = std::map<std::string, std::string>;
+  const Flags rtl = {{"campaign", "rtl"}, {"injections", "8"}, {"site", "fu"}};
+  const auto with = [&rtl](const Flags& extra) {
+    gpfcli::Args a;
+    a.flags = rtl;
+    for (const auto& [k, v] : extra) a.flags[k] = v;
+    return a;
+  };
+  for (const Flags& bad :
+       {Flags{}, Flags{{"tile", "max"}, {"micro", "FADD"}, {"range", "small"}},
+        Flags{{"tile", "max"}, {"range", "small"}}, Flags{{"micro", "FADD"}}}) {
+    try {
+      gpfcli::metas_from_flags(with(bad));
+      ADD_FAILURE() << "expected UsageError for " << bad.size() << " flags";
+    } catch (const gpfcli::UsageError& e) {
+      for (const char* flag : {"--tile", "--micro", "--range"})
+        EXPECT_NE(std::string(e.what()).find(flag), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW(gpfcli::metas_from_flags(with({{"micro", "FDIV"}, {"range", "small"}})),
+               gpfcli::UsageError);
+  EXPECT_THROW(gpfcli::metas_from_flags(with({{"micro", "FADD"}, {"range", "huge"}})),
+               gpfcli::UsageError);
+  const store::CampaignMeta micro =
+      gpfcli::metas_from_flags(with({{"micro", "FADD"}, {"range", "medium"}})).front();
+  EXPECT_EQ(store::target_label(micro), "FADD/M/fu");
+  EXPECT_EQ(gpfcli::campaign_name_for(micro), "rtl-micro-FADD-M-site0");
+  const store::CampaignMeta tmxm =
+      gpfcli::metas_from_flags(with({{"tile", "max"}})).front();
+  EXPECT_EQ(tmxm.param1, 0u);
+  EXPECT_EQ(store::target_label(tmxm), "max/fu");
+  EXPECT_EQ(gpfcli::campaign_name_for(tmxm), "rtl-tmxm-0-site0");
 }
 
 }  // namespace

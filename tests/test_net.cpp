@@ -31,8 +31,10 @@
 #include "net/protocol.hpp"
 #include "net/service.hpp"
 #include "net/worker.hpp"
+#include "campaign_flags.hpp"
 #include "perfi/campaign.hpp"
 #include "report/gate_experiments.hpp"
+#include "rtl/campaign.hpp"
 #include "store/bytes.hpp"
 #include "store/checkpoint.hpp"
 #include "store/export.hpp"
@@ -638,33 +640,106 @@ TEST(NetE2E, GateFleetExportMatchesBruteSingleProcess) {
   std::remove(fleet_path.c_str());
 }
 
+/// Drives a PERfi or RTL store the way `gpfctl run`/`resume` do.
+void run_solo(store::CampaignCheckpoint& ckpt) {
+  if (ckpt.meta().kind == store::CampaignKind::Perfi)
+    perfi::run_epr_cell_store(*workloads::find(ckpt.meta().app), ckpt);
+  else
+    rtl::run_tmxm_campaign_store(ckpt);
+}
+
 TEST(NetE2E, FleetResumesPartialStore) {
-  const store::CampaignMeta meta = perfi_meta(30, 7);
-  const workloads::Workload* w = workloads::find("vectoradd");
-  ASSERT_NE(w, nullptr);
+  for (const store::CampaignMeta& meta :
+       {perfi_meta(30, 7),
+        rtl::micro_campaign_meta(rtl::MicroOp::FMUL, rtl::InputRange::Medium,
+                                 rtl::Site::FuLane, 30, 7)}) {
+    SCOPED_TRACE(store::target_label(meta));
+    const std::string solo_path = temp_store_path("solo_r");
+    {
+      store::CampaignCheckpoint ckpt(solo_path, meta);
+      run_solo(ckpt);
+    }
 
-  const std::string solo_path = temp_store_path("solo_r");
-  {
-    store::CampaignCheckpoint ckpt(solo_path, meta);
-    perfi::run_epr_cell_store(*w, ckpt);
-  }
+    // Fleet store starts with a partial single-process run (pause at 10).
+    const std::string fleet_path = temp_store_path("fleet_r");
+    {
+      store::CampaignCheckpoint ckpt(fleet_path, meta);
+      ckpt.set_record_limit(10);
+      run_solo(ckpt);
+      EXPECT_EQ(ckpt.done_count(), 10u);
+    }
+    {
+      store::CampaignCheckpoint ckpt(fleet_path, meta);
+      run_fleet(ckpt, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/4);
+    }
 
-  // Fleet store starts with a partial single-process run (pause at 10).
-  const std::string fleet_path = temp_store_path("fleet_r");
-  {
-    store::CampaignCheckpoint ckpt(fleet_path, meta);
-    ckpt.set_record_limit(10);
-    perfi::run_epr_cell_store(*w, ckpt);
-    EXPECT_EQ(ckpt.done_count(), 10u);
+    EXPECT_EQ(export_json(solo_path), export_json(fleet_path));
+    std::remove(solo_path.c_str());
+    std::remove(fleet_path.c_str());
   }
-  {
-    store::CampaignCheckpoint ckpt(fleet_path, meta);
-    run_fleet(ckpt, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/4);
-  }
+}
 
-  EXPECT_EQ(export_json(solo_path), export_json(fleet_path));
-  std::remove(solo_path.c_str());
-  std::remove(fleet_path.c_str());
+// One campaign path from figure to fleet: for a PERfi, a t-MxM and a
+// micro-benchmark cell, the summary a figure bench prints (store driver in a
+// scratch store), the export of `gpfctl run` on the same cell's flags, and
+// the export of a 2-worker fleet agree count for count, and the two exports
+// are byte-identical.
+TEST(NetE2E, FigureCellMatchesGpfctlRunAndFleetExports) {
+  using Flags = std::map<std::string, std::string>;
+  const workloads::Workload& vec = *workloads::find("vectoradd");
+  const std::pair<Flags, store::CampaignMeta> cells[] = {
+      {{{"campaign", "perfi"}, {"app", "vectoradd"}, {"model", "IAT"}},
+       perfi::epr_campaign_meta(vec, errmodel::ErrorModel::IAT, 24, 7)},
+      {{{"campaign", "rtl"}, {"tile", "random"}, {"site", "scheduler"}},
+       rtl::tmxm_campaign_meta(workloads::TileType::Random,
+                               rtl::Site::Scheduler, 24, 7)},
+      {{{"campaign", "rtl"}, {"micro", "FMUL"}, {"range", "medium"}, {"site", "fu"}},
+       rtl::micro_campaign_meta(rtl::MicroOp::FMUL, rtl::InputRange::Medium,
+                                rtl::Site::FuLane, 24, 7)},
+  };
+  for (const auto& [flags, bench_meta] : cells) {
+    SCOPED_TRACE(store::target_label(bench_meta));
+    // What the figure bench prints, as export summary counts.
+    std::ostringstream counts;
+    {
+      store::ScratchStore scratch(bench_meta);
+      if (bench_meta.kind == store::CampaignKind::Perfi) {
+        const perfi::EprCell c = perfi::run_epr_cell_store(vec, scratch.ckpt());
+        counts << "\"injections\": " << c.injections << ", \"masked\": "
+               << c.masked << ", \"sdc\": " << c.sdc << ", \"due\": " << c.due;
+      } else {
+        const rtl::AvfSummary s = rtl::run_tmxm_campaign_store(scratch.ckpt());
+        counts << "\"injections\": " << s.injections << ", \"masked\": "
+               << s.masked << ", \"sdc_single\": " << s.sdc_single
+               << ", \"sdc_multiple\": " << s.sdc_multi << ", \"due\": " << s.due;
+      }
+    }
+
+    gpfcli::Args a;
+    a.flags = flags;
+    a.flags["injections"] = "24";
+    a.flags["seed"] = "7";
+    const std::vector<store::CampaignMeta> metas = gpfcli::metas_from_flags(a);
+    ASSERT_EQ(metas.size(), 1u);
+    EXPECT_TRUE(metas.front() == bench_meta);
+
+    const std::string solo_path = temp_store_path("cell_solo");
+    {
+      store::CampaignCheckpoint ckpt(solo_path, metas.front());
+      run_solo(ckpt);
+    }
+    const std::string fleet_path = temp_store_path("cell_fleet");
+    {
+      store::CampaignCheckpoint ckpt(fleet_path, metas.front());
+      run_fleet(ckpt, /*n_workers=*/2, /*lease_ms=*/5000, /*unit_size=*/4);
+    }
+
+    const std::string solo = export_json(solo_path);
+    EXPECT_NE(solo.find(counts.str()), std::string::npos) << counts.str();
+    EXPECT_EQ(export_json(fleet_path), solo);
+    std::remove(solo_path.c_str());
+    std::remove(fleet_path.c_str());
+  }
 }
 
 // The tentpole e2e: one coordinator serving mixed-kind campaigns to eight

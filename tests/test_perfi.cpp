@@ -31,18 +31,25 @@ const workloads::Workload& app(const char* name) {
   return *w;
 }
 
+/// One EPR cell through the store driver, in a temporary store.
+EprCell epr_cell(const char* name, ErrorModel model, std::size_t n,
+                 std::uint64_t seed) {
+  store::ScratchStore scratch(epr_campaign_meta(app(name), model, n, seed));
+  return run_epr_cell_store(app(name), scratch.ckpt());
+}
+
 TEST(ErrorFunctions, NullModelOutcomeEquivalence) {
   // An injector whose warp mask matches nothing behaves as uninstrumented.
   AppInjectionRunner runner(app("vectoradd"));
   ErrorDescriptor d = base_descriptor(ErrorModel::IOC);
   d.warp_mask = 0;  // never matches
-  EXPECT_EQ(runner.inject(d), AppOutcome::Masked);
+  EXPECT_EQ(runner.inject(d), store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, IvocAlwaysDue) {
   AppInjectionRunner runner(app("vectoradd"));
   const ErrorDescriptor d = base_descriptor(ErrorModel::IVOC);
-  EXPECT_EQ(runner.inject(d), AppOutcome::DUE);
+  EXPECT_TRUE(store::perfi_is_due(runner.inject(d)));
   EXPECT_EQ(runner.last_trap(), arch::TrapKind::InvalidOpcode);
 }
 
@@ -50,7 +57,7 @@ TEST(ErrorFunctions, IvraRaisesInvalidRegister) {
   AppInjectionRunner runner(app("vectoradd"));
   ErrorDescriptor d = base_descriptor(ErrorModel::IVRA);
   d.err_oper_loc = 1;  // corrupt the first source operand
-  EXPECT_EQ(runner.inject(d), AppOutcome::DUE);
+  EXPECT_TRUE(store::perfi_is_due(runner.inject(d)));
   EXPECT_EQ(runner.last_trap(), arch::TrapKind::InvalidRegister);
 }
 
@@ -60,7 +67,7 @@ TEST(ErrorFunctions, IraProducesSdcOrDue) {
   d.err_oper_loc = 0;
   d.bit_err_mask = 0x3;
   // Redirected destinations either corrupt data (SDC) or derail addressing.
-  EXPECT_NE(runner.inject(d), AppOutcome::Masked);
+  EXPECT_NE(runner.inject(d), store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, IatCorruptsOutput) {
@@ -68,8 +75,8 @@ TEST(ErrorFunctions, IatCorruptsOutput) {
   ErrorDescriptor d = base_descriptor(ErrorModel::IAT);
   d.thread_mask = 0x2;  // thread 1's index register flips
   d.bit_err_mask = 0x4;
-  const AppOutcome out = runner.inject(d);
-  EXPECT_NE(out, AppOutcome::Masked);
+  const store::PerfiOutcome out = runner.inject(d);
+  EXPECT_NE(out, store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, WvOnlyAffectsTargetPredicate) {
@@ -78,9 +85,9 @@ TEST(ErrorFunctions, WvOnlyAffectsTargetPredicate) {
   AppInjectionRunner runner(app("vectoradd"));
   ErrorDescriptor d = base_descriptor(ErrorModel::WV);
   d.target_pred = 3;
-  EXPECT_EQ(runner.inject(d), AppOutcome::Masked);
+  EXPECT_EQ(runner.inject(d), store::PerfiOutcome::Masked);
   d.target_pred = 0;
-  EXPECT_NE(runner.inject(d), AppOutcome::Masked);
+  EXPECT_NE(runner.inject(d), store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, ImdMaskedWithoutSharedMemory) {
@@ -89,7 +96,7 @@ TEST(ErrorFunctions, ImdMaskedWithoutSharedMemory) {
   ErrorDescriptor d = base_descriptor(ErrorModel::IMD);
   d.thread_mask = 0xFFFFFFFF;
   d.bit_err_mask = 0xFF;
-  EXPECT_EQ(runner.inject(d), AppOutcome::Masked);
+  EXPECT_EQ(runner.inject(d), store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, ImdAffectsSharedMemoryApp) {
@@ -99,7 +106,7 @@ TEST(ErrorFunctions, ImdAffectsSharedMemoryApp) {
   d.thread_mask = 0xFFFFFFFF;
   d.err_oper_loc = 0;  // corrupt the stored data register
   d.bit_err_mask = 1u << 20;
-  EXPECT_NE(runner.inject(d), AppOutcome::Masked);
+  EXPECT_NE(runner.inject(d), store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, ImsMaskedWithoutSharedOrConst) {
@@ -107,7 +114,7 @@ TEST(ErrorFunctions, ImsMaskedWithoutSharedOrConst) {
   ErrorDescriptor d = base_descriptor(ErrorModel::IMS);
   d.thread_mask = 0xFFFFFFFF;
   d.bit_err_mask = 0xFFFF;
-  EXPECT_EQ(runner.inject(d), AppOutcome::Masked);
+  EXPECT_EQ(runner.inject(d), store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, IalDisableDropsResults) {
@@ -115,27 +122,27 @@ TEST(ErrorFunctions, IalDisableDropsResults) {
   ErrorDescriptor d = base_descriptor(ErrorModel::IAL);
   d.enable_lane = false;
   d.thread_mask = 0x1;  // lane 0 results discarded
-  EXPECT_NE(runner.inject(d), AppOutcome::Masked);
+  EXPECT_NE(runner.inject(d), store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, IocChangesComputation) {
   AppInjectionRunner runner(app("mxm"));
   ErrorDescriptor d = base_descriptor(ErrorModel::IOC);
   d.replacement_op = 0;  // IADD substitution
-  EXPECT_NE(runner.inject(d), AppOutcome::Masked);
+  EXPECT_NE(runner.inject(d), store::PerfiOutcome::Masked);
 }
 
 TEST(ErrorFunctions, DeterministicOutcome) {
   AppInjectionRunner runner(app("gemm"));
   ErrorDescriptor d = base_descriptor(ErrorModel::IAT);
   d.bit_err_mask = 0x8;
-  const AppOutcome a = runner.inject(d);
-  const AppOutcome b = runner.inject(d);
+  const store::PerfiOutcome a = runner.inject(d);
+  const store::PerfiOutcome b = runner.inject(d);
   EXPECT_EQ(a, b);
 }
 
 TEST(Campaign, EprCellAccounting) {
-  const EprCell cell = run_epr_cell(app("vectoradd"), ErrorModel::IAT, 20, 77);
+  const EprCell cell = epr_cell("vectoradd", ErrorModel::IAT, 20, 77);
   EXPECT_EQ(cell.injections, 20u);
   EXPECT_EQ(cell.masked + cell.sdc + cell.due, 20u);
   EXPECT_NEAR(cell.epr_sdc() + cell.epr_due() + cell.epr_masked(), 1.0, 1e-9);
@@ -143,13 +150,13 @@ TEST(Campaign, EprCellAccounting) {
 
 TEST(Campaign, OperationErrorsSkewToDue) {
   // Paper Fig. 13: IRA/IVRA injections overwhelmingly DUE.
-  const EprCell ivra = run_epr_cell(app("mxm"), ErrorModel::IVRA, 15, 78);
+  const EprCell ivra = epr_cell("mxm", ErrorModel::IVRA, 15, 78);
   EXPECT_GT(ivra.epr_due(), 0.9);
 }
 
 TEST(Campaign, ParallelManagementErrorsProduceSdc) {
   // Paper: IAT on low-interdependence codes mostly SDC.
-  const EprCell iat = run_epr_cell(app("vectoradd"), ErrorModel::IAT, 25, 79);
+  const EprCell iat = epr_cell("vectoradd", ErrorModel::IAT, 25, 79);
   EXPECT_GT(iat.epr_sdc(), 0.3);
 }
 
@@ -193,7 +200,7 @@ TEST(Campaign, FastInjectionEqualsFreshPlainRun) {
       Rng rng(0x5EED ^ static_cast<std::uint64_t>(model));
       for (int k = 0; k < 3; ++k) {
         const ErrorDescriptor d = random_descriptor(model, rng);
-        const AppOutcome got = runner.inject(d);
+        const store::PerfiOutcome got = runner.inject(d);
 
         ErrorInjector injector(d);
         arch::PlainForward plain(injector);
@@ -202,18 +209,17 @@ TEST(Campaign, FastInjectionEqualsFreshPlainRun) {
         gpu.set_hooks(&plain);
         const workloads::RunStats want = w->run(gpu, runner.budget());
         gpu.set_hooks(nullptr);
-        AppOutcome want_out = AppOutcome::DUE;
-        if (want.ok)
-          want_out = std::equal(golden.begin(), golden.end(),
-                                gpu.global().begin() + static_cast<std::ptrdiff_t>(spec.addr))
-                         ? AppOutcome::Masked
-                         : AppOutcome::SDC;
+        const bool want_masked =
+            want.ok &&
+            std::equal(golden.begin(), golden.end(),
+                       gpu.global().begin() + static_cast<std::ptrdiff_t>(spec.addr));
 
         const std::string where = std::string(w->name()) + " x " +
                                   std::string(errmodel::name_of(model)) + " #" +
                                   std::to_string(k);
         const workloads::RunStats& have = runner.last_stats();
-        EXPECT_EQ(got, want_out) << where;
+        EXPECT_EQ(store::perfi_is_due(got), !want.ok) << where;
+        EXPECT_EQ(got == store::PerfiOutcome::Masked, want_masked) << where;
         EXPECT_EQ(runner.last_trap(), want.trap) << where;
         EXPECT_EQ(have.ok, want.ok) << where;
         EXPECT_EQ(have.cycles, want.cycles) << where;
@@ -252,7 +258,7 @@ TEST(Campaign, BfsIalHangsAreCut) {
   obs::Counter& cuts = obs::counter("arch.livelocks_cut");
   obs::Counter& skipped = obs::counter("arch.cycles_skipped");
   const std::uint64_t cuts0 = cuts.value(), skipped0 = skipped.value();
-  const EprCell cell = run_epr_cell(app("bfs"), ErrorModel::IAL, 10, 12648430);
+  const EprCell cell = epr_cell("bfs", ErrorModel::IAL, 10, 12648430);
   EXPECT_GT(cell.due_hang, 0u);
   EXPECT_GT(cuts.value(), cuts0);
   EXPECT_GT(skipped.value(), skipped0);

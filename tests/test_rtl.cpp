@@ -184,9 +184,16 @@ TEST(Injector, PermanentRtlHooksCutLivelocksExactly) {
   EXPECT_EQ(cuts.value(), before);
 }
 
+/// One rtl cell through the store driver, in a temporary store.
+AvfSummary run_cell(const store::CampaignMeta& meta,
+                    std::vector<InjectionResult>* details = nullptr) {
+  store::ScratchStore scratch(meta);
+  return run_tmxm_campaign_store(scratch.ckpt(), details);
+}
+
 TEST(Campaign, MicroCampaignProducesMixedOutcomes) {
-  const AvfSummary s =
-      run_micro_campaign(MicroOp::FMUL, InputRange::Medium, Site::FuLane, 60, 11);
+  const AvfSummary s = run_cell(
+      micro_campaign_meta(MicroOp::FMUL, InputRange::Medium, Site::FuLane, 60, 11));
   EXPECT_EQ(s.injections, 60u);
   EXPECT_GT(s.masked, 0u);
   EXPECT_GT(s.sdc_single + s.sdc_multi, 0u);
@@ -194,10 +201,10 @@ TEST(Campaign, MicroCampaignProducesMixedOutcomes) {
 }
 
 TEST(Campaign, SchedulerCorruptsMoreThreadsThanFu) {
-  const AvfSummary fu =
-      run_micro_campaign(MicroOp::IADD, InputRange::Medium, Site::FuLane, 120, 21);
-  const AvfSummary sched =
-      run_micro_campaign(MicroOp::IADD, InputRange::Medium, Site::Scheduler, 200, 22);
+  const AvfSummary fu = run_cell(
+      micro_campaign_meta(MicroOp::IADD, InputRange::Medium, Site::FuLane, 120, 21));
+  const AvfSummary sched = run_cell(micro_campaign_meta(
+      MicroOp::IADD, InputRange::Medium, Site::Scheduler, 200, 22));
   ASSERT_GT(fu.sdc_single + fu.sdc_multi, 0u);
   ASSERT_GT(sched.sdc_single + sched.sdc_multi, 0u);
   // Paper Fig. 4 discussion: ~1 corrupted thread/warp for INT FUs vs ~28 for
@@ -208,8 +215,9 @@ TEST(Campaign, SchedulerCorruptsMoreThreadsThanFu) {
 
 TEST(Campaign, TmxmCampaignRuns) {
   std::vector<InjectionResult> details;
-  const AvfSummary s = run_tmxm_campaign(workloads::TileType::Random,
-                                         Site::Scheduler, 40, 31, &details);
+  const AvfSummary s = run_cell(
+      tmxm_campaign_meta(workloads::TileType::Random, Site::Scheduler, 40, 31),
+      &details);
   EXPECT_EQ(s.injections, 40u);
   EXPECT_EQ(details.size(), 40u);
 }

@@ -66,6 +66,16 @@ TEST_F(StoreTest, MetaHeaderRoundTrip) {
   const store::CampaignMeta back = store::ResultLog::decode_meta(bytes);
   EXPECT_TRUE(back == m);
   EXPECT_EQ(back.app, "vectoradd");
+
+  // The shard size helper agrees with owns() when the slices are uneven
+  // (100 ids over 8 shards: 13 for shards 0-3, 12 for shards 4-7).
+  ASSERT_NE(m.total % m.shard_count, 0u);
+  for (std::uint32_t i = 0; i < m.shard_count; ++i) {
+    m.shard_index = i;
+    std::uint64_t owned = 0;
+    for (std::uint64_t id = 0; id < m.total; ++id) owned += m.owns(id);
+    EXPECT_EQ(m.owned_count(), owned) << "shard " << i;
+  }
 }
 
 TEST_F(StoreTest, AppendAndRecover) {
@@ -228,6 +238,22 @@ TEST_F(StoreTest, CheckpointSkipAndLimit) {
   EXPECT_TRUE(ckpt.is_done(5));
   EXPECT_TRUE(ckpt.is_done(7));
   EXPECT_FALSE(ckpt.should_stop());
+}
+
+// A scratch store is an ordinary store in its own temporary directory, and
+// the directory goes with the object.
+TEST_F(StoreTest, ScratchStoreIsRemovedWithTheObject) {
+  std::filesystem::path dir;
+  {
+    store::ScratchStore scratch(gate_meta());
+    scratch.ckpt().record(3, gate_payload(3, false));
+    const std::string p = scratch.ckpt().path();
+    dir = std::filesystem::path(p).parent_path();
+    EXPECT_EQ(dir.filename().string().rfind("gpf-scratch-", 0), 0u) << dir;
+    scratch.ckpt().sync();
+    EXPECT_EQ(store::load_store(p).records.size(), 1u);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST_F(StoreTest, MergeDisjointShardsAndConflicts) {

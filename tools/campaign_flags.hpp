@@ -105,6 +105,21 @@ inline gpf::rtl::Site parse_site(const std::string& s) {
   throw UsageError("unknown site: " + s + " (fu|sfu|pipeline|scheduler)");
 }
 
+inline gpf::rtl::MicroOp parse_micro_op(const std::string& s) {
+  for (unsigned o = 0; o < static_cast<unsigned>(gpf::rtl::MicroOp::COUNT); ++o)
+    if (s == gpf::rtl::micro_op_name(static_cast<gpf::rtl::MicroOp>(o)))
+      return static_cast<gpf::rtl::MicroOp>(o);
+  throw UsageError("unknown micro-benchmark op: " + s +
+                   " (FADD|FMUL|FFMA|IADD|IMUL|IMAD|FSIN|FEXP|GLD|GST|BRA|ISET)");
+}
+
+inline gpf::rtl::InputRange parse_range(const std::string& s) {
+  if (s == "small") return gpf::rtl::InputRange::Small;
+  if (s == "medium") return gpf::rtl::InputRange::Medium;
+  if (s == "large") return gpf::rtl::InputRange::Large;
+  throw UsageError("unknown range: " + s + " (small|medium|large)");
+}
+
 inline gpf::errmodel::ErrorModel parse_model(const std::string& s) {
   for (unsigned m = 0; m < gpf::errmodel::kNumErrorModels; ++m)
     if (s == gpf::errmodel::name_of(static_cast<gpf::errmodel::ErrorModel>(m)))
@@ -139,8 +154,12 @@ inline std::string campaign_name_for(const gpf::store::CampaignMeta& m) {
              unit_slug(static_cast<gpf::gate::UnitKind>(m.target));
       break;
     case CampaignKind::Rtl:
-      name = "rtl-tmxm-" + std::to_string(static_cast<unsigned>(m.target)) +
-             "-site" + std::to_string(static_cast<unsigned>(m.param0));
+      if (const auto cell = gpf::rtl::micro_cell_of(m))
+        name = "rtl-micro-" + std::string(gpf::rtl::micro_op_name(cell->op)) +
+               "-" + std::string(gpf::rtl::range_name(cell->range));
+      else
+        name = "rtl-tmxm-" + std::to_string(static_cast<unsigned>(m.target));
+      name += "-site" + std::to_string(static_cast<unsigned>(m.param0));
       break;
     case CampaignKind::Perfi:
       name = "perfi-" + m.app + "-" +
@@ -157,9 +176,9 @@ inline std::string store_path_for(const gpf::store::CampaignMeta& m,
 }
 
 /// Builds the campaign metas described by `run`-style flags (--campaign,
-/// --unit/--tile/--site/--app/--model, --faults/--injections, --seed,
-/// --shard-index/count). A gate campaign with --unit all yields three metas.
-/// Throws UsageError on a malformed combination.
+/// --unit/--tile/--micro/--range/--site/--app/--model, --faults/--injections,
+/// --seed, --shard-index/count). A gate campaign with --unit all yields three
+/// metas. Throws UsageError on a malformed combination.
 inline std::vector<gpf::store::CampaignMeta> metas_from_flags(const Args& a) {
   namespace gpf_ = gpf;
   const std::string campaign = a.get("campaign");
@@ -190,9 +209,18 @@ inline std::vector<gpf::store::CampaignMeta> metas_from_flags(const Args& a) {
           u, faults, max_issues, seed, engine, shard_index, shard_count));
   } else if (campaign == "rtl") {
     if (!a.has("injections")) throw UsageError("rtl: --injections required");
-    metas.push_back(gpf_::rtl::tmxm_campaign_meta(
-        parse_tile(a.get("tile", "random")), parse_site(a.get("site", "fu")),
-        a.get_u64("injections", 0), seed, shard_index, shard_count));
+    if (a.has("tile") == a.has("micro") || a.has("range") != a.has("micro"))
+      throw UsageError("rtl: give either --tile max|zero|random or "
+                       "--micro OP --range small|medium|large");
+    const gpf_::rtl::Site site = parse_site(a.get("site", "fu"));
+    const std::uint64_t n = a.get_u64("injections", 0);
+    metas.push_back(
+        a.has("tile")
+            ? gpf_::rtl::tmxm_campaign_meta(parse_tile(a.get("tile")), site, n,
+                                            seed, shard_index, shard_count)
+            : gpf_::rtl::micro_campaign_meta(
+                  parse_micro_op(a.get("micro")), parse_range(a.get("range")),
+                  site, n, seed, shard_index, shard_count));
   } else if (campaign == "perfi") {
     if (!a.has("app") || !a.has("model") || !a.has("injections"))
       throw UsageError("perfi: --app, --model, --injections required");

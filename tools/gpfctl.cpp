@@ -11,6 +11,7 @@
 //   gpfctl run --campaign gate  --unit decoder|fetch|wsc|all [--faults N]
 //              [--max-issues N] [--engine brute|batch]
 //   gpfctl run --campaign rtl   --tile max|zero|random
+//                             | --micro OP --range small|medium|large
 //              --site fu|sfu|pipeline|scheduler --injections N
 //   gpfctl run --campaign perfi --app NAME --model IOC|IRA|... --injections N
 //     common run flags: [--seed S] [--store DIR] [--shard-index I]
@@ -85,6 +86,7 @@ int usage(const char* msg = nullptr) {
       "  gpfctl run --campaign gate --unit decoder|fetch|wsc|all [--faults N]\n"
       "             [--max-issues N] [--engine brute|batch]\n"
       "  gpfctl run --campaign rtl --tile max|zero|random\n"
+      "                          | --micro FADD|FMUL|...|ISET --range small|medium|large\n"
       "             --site fu|sfu|pipeline|scheduler --injections N\n"
       "  gpfctl run --campaign perfi --app NAME --model IOC|... --injections N\n"
       "    common:  [--seed S] [--store DIR] [--shard-index I] [--shard-count K]\n"
@@ -104,12 +106,6 @@ int usage(const char* msg = nullptr) {
       "  gpfctl top [--addr HOST:PORT] [--campaign NAME] [--interval-ms N]\n"
       "             [--count N]\n";
   return 2;
-}
-
-/// Number of ids in [0, total) owned by this shard.
-std::uint64_t owned_ids(const store::CampaignMeta& m) {
-  return m.total / m.shard_count +
-         (m.shard_index < m.total % m.shard_count ? 1 : 0);
 }
 
 /// Drops the end-of-campaign metrics next to the store(s) we just drove.
@@ -141,7 +137,7 @@ void drive_campaign(store::CampaignCheckpoint& ckpt, std::size_t limit) {
   std::thread reporter;
   if (status_ms > 0) {
     reporter = std::thread([&ckpt, &finished, before, status_ms,
-                            owned = owned_ids(meta)] {
+                            owned = meta.owned_count()] {
       auto last_t = std::chrono::steady_clock::now();
       std::size_t last_n = before;
       std::uint64_t slept = 0;

@@ -71,6 +71,7 @@ int usage(const char* msg = nullptr) {
       "  gpfd --campaign gate --unit decoder|fetch|wsc|all [--faults N]\n"
       "       [--max-issues N] [--engine brute|batch]\n"
       "  gpfd --campaign rtl --tile max|zero|random\n"
+      "                    | --micro FADD|FMUL|...|ISET --range small|medium|large\n"
       "       --site fu|sfu|pipeline|scheduler --injections N\n"
       "  gpfd --campaign perfi --app NAME --model IOC|... --injections N\n"
       "  gpfd --resume FILE [FILE...]\n"
